@@ -19,14 +19,14 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import datasets, errors
 from .bounds import chebyshev_bound, exp_pair_bound, uniform_power_bound
 from .distributions import (
-    Density,
+    _FAMILIES,
     Exponential,
     FinitePMF,
     Power,
@@ -54,16 +54,14 @@ from .measures import (
 )
 from .selection import prefer_auto, rank
 
-_CONTINUOUS = {
-    "exp": ("exp", 1),
-    "exponential": ("exp", 1),
-    "power": ("power", 1),
-    "uniform": ("uniform", 2),
-    "w2": ("w2", 2),
-    "weibull2": ("w2", 2),
-    "lognormal": ("lognormal", 2),
+# Short spellings the CLI prints; arities come from distributions._FAMILIES.
+_SHORT = {"exponential": "exp", "weibull2": "w2"}
+# CLI spelling -> (make_pmf family, arity).
+_DISCRETE = {
+    "binomial": ("binomial", 2),
+    "betabin": ("beta_binomial", 3),
+    "dunif": ("discrete_uniform", 1),
 }
-_DISCRETE = {"binomial": 2, "betabin": 3, "dunif": 1}
 
 
 @dataclass(frozen=True)
@@ -85,21 +83,18 @@ class DistSpec:
     def to_distribution(self):
         if self.kind == "continuous":
             return make_distribution(self.family, self.params)
-        if self.family == "binomial":
-            return make_pmf("binomial", self.params)
-        if self.family == "betabin":
-            return make_pmf("beta_binomial", self.params)
-        return make_pmf("discrete_uniform", self.params)
+        return make_pmf(_DISCRETE[self.family][0], self.params)
 
 
 def parse_dist_spec(text: str) -> DistSpec:
     """Parse ``family[:p1,p2,...]``, annotating errors with position."""
     head, sep, tail = text.partition(":")
     family = head.strip().lower()
-    if family in _CONTINUOUS:
-        family, arity = _CONTINUOUS[family]
+    if family in _FAMILIES:
+        arity = _FAMILIES[family][1]
+        family = _SHORT.get(family, family)
     elif family in _DISCRETE:
-        arity = _DISCRETE[family]
+        arity = _DISCRETE[family][1]
     else:
         raise SpecParseError(
             f"unknown family '{head}' at position 0 in '{text}'", position=0
@@ -189,6 +184,21 @@ def _fmt(value: float, precision: int) -> str:
     return f"{value:.{precision}g}"
 
 
+def _json(payload) -> str:
+    """Strict JSON: infinities are written "inf"/"-inf", as in text output."""
+
+    def encode(v):
+        if isinstance(v, float) and math.isinf(v):
+            return _fmt(v, 0)
+        if isinstance(v, dict):
+            return {k: encode(x) for k, x in v.items()}
+        if isinstance(v, (list, tuple)):
+            return [encode(x) for x in v]
+        return v
+
+    return json.dumps(encode(payload), allow_nan=False)
+
+
 def _emit(text: str, out_path: str | None):
     if out_path in (None, "-"):
         sys.stdout.write(text)
@@ -210,23 +220,19 @@ def _csv(header: list[str], rows: list[list[float]]) -> str:
 
 def _measure_records(fd, gd):
     if isinstance(fd, FinitePMF):
-        pairs = [
-            ("H", entropy_pmf(fd)),
-            ("VarH", varentropy_pmf(fd)),
-            ("I", inaccuracy_pmf(fd, gd)),
-            ("VarI", varinaccuracy_pmf(fd, gd)),
-            ("K", kl_pmf(fd, gd)),
-            ("VarK", var_kl_pmf(fd, gd)),
-        ]
+        fns = (entropy_pmf, varentropy_pmf, inaccuracy_pmf,
+               varinaccuracy_pmf, kl_pmf, var_kl_pmf)
     else:
-        pairs = [
-            ("H", entropy(fd)),
-            ("VarH", varentropy(fd)),
-            ("I", inaccuracy(fd, gd)),
-            ("VarI", varinaccuracy(fd, gd)),
-            ("K", kl(fd, gd)),
-            ("VarK", var_kl(fd, gd)),
-        ]
+        fns = (entropy, varentropy, inaccuracy, varinaccuracy, kl, var_kl)
+    h, varh, i, vari, k, vark = fns
+    pairs = [
+        ("H", h(fd)),
+        ("VarH", varh(fd)),
+        ("I", i(fd, gd)),
+        ("VarI", vari(fd, gd)),
+        ("K", k(fd, gd)),
+        ("VarK", vark(fd, gd)),
+    ]
     return [
         {
             "measure": name,
@@ -250,7 +256,7 @@ def cmd_measures(args) -> int:
     records = _measure_records(fspec.to_distribution(), gspec.to_distribution())
     if args.json:
         payload = {"f": fspec.format(), "g": gspec.format(), "measures": records}
-        print(json.dumps(payload))
+        print(_json(payload))
         return 0
     width = max(len(r["measure"]) for r in records)
     print(f"f = {fspec.format()}   g = {gspec.format()}")
@@ -325,51 +331,26 @@ def cmd_bounds(args) -> int:
 # fit
 # ----------------------------------------------------------------------
 
-def _fit_continuous_candidate(spec: DistSpec, data: SampleData):
-    """Resolve a candidate spec into (label, density, fitted, fit_info)."""
+def _resolve_candidate(spec: DistSpec, data):
+    """Resolve a candidate spec into (label, law, fitted, fit_info).
+
+    ``data`` is the SampleData of a continuous fit or the count list of a
+    discrete one; bare ``w2``/``lognormal``/``binomial`` are fitted to it.
+    """
     if spec.params:
-        dist = spec.to_distribution()
-        return spec.format(), dist, False, None
+        return spec.format(), spec.to_distribution(), False, None
     if spec.family == "w2":
         fit = fit_weibull_mle(data)
     elif spec.family == "lognormal":
         fit = fit_lognormal_mle(data)
+    elif spec.family == "binomial":
+        fit = fit_binomial_p(data, len(data) - 1)
     else:
         raise errors.InvalidParameterError(
             f"no fitter for bare family '{spec.family}'; give explicit parameters"
         )
-    dist = make_distribution(fit.family, fit.params)
-    label = DistSpec(spec.family, fit.params).format()
-    info = {
-        "family": fit.family,
-        "params": list(fit.params),
-        "log_likelihood": fit.log_likelihood,
-        "iterations": fit.iterations,
-        "converged": fit.converged,
-    }
-    return label, dist, True, info
-
-
-def _fit_discrete_candidate(spec: DistSpec, counts: list[float]):
-    if spec.params:
-        dist = spec.to_distribution()
-        return spec.format(), dist, False, None
-    if spec.family != "binomial":
-        raise errors.InvalidParameterError(
-            f"no fitter for bare family '{spec.family}'; give explicit parameters"
-        )
-    n_trials = len(counts) - 1
-    fit = fit_binomial_p(counts, n_trials)
-    dist = make_pmf("binomial", fit.params)
-    label = DistSpec("binomial", fit.params).format()
-    info = {
-        "family": fit.family,
-        "params": list(fit.params),
-        "log_likelihood": fit.log_likelihood,
-        "iterations": fit.iterations,
-        "converged": fit.converged,
-    }
-    return label, dist, True, info
+    fitted = DistSpec(spec.family, fit.params)
+    return fitted.format(), fitted.to_distribution(), True, asdict(fit)
 
 
 def cmd_fit(args) -> int:
@@ -379,25 +360,23 @@ def cmd_fit(args) -> int:
     specs = [parse_dist_spec(c) for c in args.candidates]
 
     if args.discrete:
-        counts = values
-        if any(v != int(v) or v < 0 for v in counts):
+        if not all(math.isfinite(v) and v == int(v) and v >= 0 for v in values):
             raise SpecParseError(
                 f"{args.data}: discrete mode expects nonnegative integer counts"
             )
-        reference = make_pmf("empirical", counts)
-        ref_desc = {"kind": "empirical", "counts": [int(v) for v in counts]}
-        resolver = lambda s: _fit_discrete_candidate(s, counts)  # noqa: E731
+        fit_data = values
+        reference = make_pmf("empirical", values)
+        ref_desc = {"kind": "empirical", "counts": [int(v) for v in values]}
         bad_kind = "continuous"
     else:
-        data = SampleData(values)
-        reference = kde(data, args.bandwidth)
+        fit_data = SampleData(values)
+        reference = kde(fit_data, args.bandwidth)
         ref_desc = {
             "kind": "kde",
-            "n": data.n,
+            "n": fit_data.n,
             "bandwidth": reference.bandwidth,
             "support": list(reference.support),
         }
-        resolver = lambda s: _fit_continuous_candidate(s, data)  # noqa: E731
         bad_kind = "discrete"
 
     entries = []
@@ -408,7 +387,7 @@ def cmd_fit(args) -> int:
                 f"candidate '{spec.format()}' does not match the data kind"
             )
         try:
-            label, dist, fitted, info = resolver(spec)
+            label, dist, fitted, info = _resolve_candidate(spec, fit_data)
         except errors.Error as exc:
             failures.append({"spec": spec.format(), "error": str(exc)})
             continue
@@ -435,23 +414,10 @@ def cmd_fit(args) -> int:
                 "method": cand.K.method,
             }
         )
-    decision_records = [
-        {
-            "first": d.first,
-            "second": d.second,
-            "r": d.r,
-            "score_first": d.score_first,
-            "score_second": d.score_second,
-            "winner": d.winner,
-            "criterion_value": d.criterion_value,
-            "exact_match": d.exact_match,
-        }
-        for d in report.decisions
-    ]
     payload = {
         "reference": ref_desc,
         "candidates": cand_records,
-        "decisions": decision_records,
+        "decisions": [asdict(d) for d in report.decisions],
         "ranking": [c.label for c in report.ranking],
         "disqualified": [
             {"label": c.label, "reason": reason} for c, reason in report.disqualified
@@ -459,7 +425,7 @@ def cmd_fit(args) -> int:
         "failures": failures,
     }
     if args.json:
-        print(json.dumps(payload))
+        print(_json(payload))
         return 0
 
     p = args.precision
@@ -709,6 +675,12 @@ def cmd_reproduce(args) -> int:
 # parser
 # ----------------------------------------------------------------------
 
+def _precision(text: str) -> int:
+    if not text.isdigit():
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got '{text}'")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="varidx",
@@ -721,7 +693,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f", required=True, help="reference law, e.g. exp:1")
     p.add_argument("--g", required=True, help="hypothesized law, e.g. exp:2")
     p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.add_argument("--precision", type=int, default=6, help="significant digits")
+    p.add_argument(
+        "--precision", type=_precision, default=6, help="significant digits"
+    )
     p.set_defaults(func=cmd_measures)
 
     p = sub.add_parser("curves", help="I/VarI curves as CSV")
@@ -756,7 +730,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--discrete", action="store_true", help="treat data as counts")
     p.add_argument("--bandwidth", type=float, default=None, help="kde bandwidth")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--precision", type=int, default=6)
+    p.add_argument("--precision", type=_precision, default=6)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("reproduce", help="recompute pinned reference values")

@@ -1,4 +1,4 @@
-"""Continuous densities, finite pmfs and sampling used across the package.
+"""Continuous densities, finite pmfs and exact sampling used across the package.
 
 Every continuous law is a :class:`Density` with a declared open-interval
 support and a pdf-monotonicity flag.  Evaluation methods are vectorized
@@ -9,6 +9,7 @@ immutable after construction; all operations here are pure functions.
 from __future__ import annotations
 
 import math
+from statistics import NormalDist
 from typing import Callable, Sequence
 
 import numpy as np
@@ -41,80 +42,13 @@ __all__ = [
 ]
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-_TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 
-
-# ----------------------------------------------------------------------
-# Error function (vectorized, double precision, no external dependency)
-# ----------------------------------------------------------------------
-
-def _erf_series(x):
-    """erf for 0 <= x < 2 via the positive-term power series."""
-    x = np.asarray(x, dtype=float)
-    acc = x.copy()
-    term = x.copy()
-    xx2 = 2.0 * x * x
-    for n in range(1, 96):
-        term = term * xx2 / (2.0 * n + 1.0)
-        acc += term
-        if float(term.max()) < 1e-18 * float(acc.max()):
-            break
-    return _TWO_OVER_SQRT_PI * np.exp(-x * x) * acc
-
-
-def _erfc_cf(x):
-    """erfc for x >= 2 via the classical continued fraction (Lentz form)."""
-    x = np.asarray(x, dtype=float)
-    # f = 1 / (x + 1/(2x + 2/(x + 3/(2x + ...)))), numerators 1,2,3,...
-    f = x.copy()
-    c = x.copy()
-    d = np.zeros_like(x)
-    for k in range(1, 128):
-        b = 2.0 * x if k % 2 else x
-        d = 1.0 / (b + k * d)
-        c = b + k / c
-        delta = c * d
-        f = f * delta
-        if float(np.abs(delta - 1.0).max()) < 1e-16:
-            break
-    with np.errstate(under="ignore"):
-        return np.exp(-x * x) / math.sqrt(math.pi) / f
-
-
-def _erfc(x):
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    neg = x < 0.0
-    ax = np.abs(x)
-    # Process in ranges so the early-exit loops run only as long as the
-    # slowest element of each range requires.
-    for sel, fn in (
-        (ax < 1.0, lambda v: 1.0 - _erf_series(v)),
-        ((ax >= 1.0) & (ax < 2.0), lambda v: 1.0 - _erf_series(v)),
-        ((ax >= 2.0) & (ax < 4.0), _erfc_cf),
-        (ax >= 4.0, _erfc_cf),
-    ):
-        if np.any(sel):
-            out[sel] = fn(ax[sel])
-    out[neg] = 2.0 - out[neg]
-    return out
+_erfc = np.vectorize(math.erfc, otypes=[float])
+_norm_ppf = np.vectorize(NormalDist().inv_cdf, otypes=[float])
 
 
 def _norm_cdf(z):
     return 0.5 * _erfc(-np.asarray(z, dtype=float) / math.sqrt(2.0))
-
-
-def _norm_ppf(p):
-    """Standard normal quantile by bisection (exact to float resolution)."""
-    p = np.asarray(p, dtype=float)
-    lo = np.full(p.shape, -40.0)
-    hi = np.full(p.shape, 40.0)
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        below = _norm_cdf(mid) < p
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
 
 
 def _scalarized(x, compute):
@@ -679,6 +613,8 @@ class FinitePMF:
             )
         if probs.size == 0:
             raise InvalidParameterError("pmf needs at least one outcome")
+        if not np.all(np.isfinite(probs)):
+            raise InvalidParameterError("probabilities must be finite")
         if np.any(probs < 0.0):
             raise InvalidParameterError("probabilities must be nonnegative")
         total = float(probs.sum())
@@ -926,91 +862,61 @@ def _bisect_pdf_level(d: Density, z: float) -> float:
     return float(x_of(0.5 * (a + b)))
 
 
-def _cdf_level(d: Density, p: float) -> float:
-    """Generic cdf inversion by bisection (used for envelope trimming)."""
-    lo, hi = d.support
-    if math.isinf(hi) or math.isinf(lo):
-
-        def x_of(t):
-            if math.isinf(hi) and math.isinf(lo):
-                return t / (1.0 - t) - (1.0 - t) / t
-            if math.isinf(hi):
-                return lo + t / (1.0 - t)
-            return hi - t / (1.0 - t)
-
-        a, b = 1e-12, 1.0 - 1e-12
-        increasing = not (math.isinf(lo) and not math.isinf(hi))
-    else:
-
-        def x_of(t):
-            return t
-
-        a, b = lo, hi
-        increasing = True
-
-    for _ in range(120):
-        mid = 0.5 * (a + b)
-        cm = float(d.cdf(x_of(mid)))
-        go_right = cm < p if increasing else cm > p
-        if go_right:
-            a = mid
-        else:
-            b = mid
-    return float(x_of(0.5 * (a + b)))
-
-
 def sample(d: Density, n: int, seed: int) -> SampleData:
-    """Draw n reproducible samples from d.
+    """Draw n reproducible samples from d, each strictly inside its support.
 
-    Families with a quantile are sampled by inverse transform; kde and
-    pushforward densities use accept-reject with a uniform envelope over
-    a quantile-trimmed interval.
+    Every law is sampled exactly.  Families with a quantile use inverse
+    transform (lognormal exponentiates normal draws); a kde uses the
+    composition method, picking a kernel with probability proportional
+    to its mass inside the support and then inverting that kernel's cdf
+    truncated to the support; a log-domain kde exponentiates a draw from
+    its inner kde; a pushforward maps a draw from its base through phi.
+    Any other density without a quantile raises UnsupportedSamplerError.
     """
     n = int(n)
     if n < 1:
         raise InvalidParameterError(f"sample size must be >= 1, got {n}")
-    rng = np.random.default_rng(seed)
+    return SampleData(_draw(d, n, np.random.default_rng(seed)))
+
+
+def _draw(d: Density, n: int, rng) -> np.ndarray:
     if isinstance(d, Lognormal):
         # Inverse transform through the normal quantile would work but is
         # needlessly slow; exponentiate normal draws instead.
-        return SampleData(np.exp(d.mu + d.sigma * rng.standard_normal(n)))
-    if d.has_quantile:
+        x = np.exp(d.mu + d.sigma * rng.standard_normal(n))
+    elif d.has_quantile:
         u = rng.random(n)
         # random() can return exactly 0.0; nudge into the open interval.
         u[u == 0.0] = np.nextafter(0.0, 1.0)
-        return SampleData(d.quantile(u))
-    return SampleData(_accept_reject(d, n, rng))
-
-
-def _accept_reject(d: Density, n: int, rng) -> np.ndarray:
+        x = d.quantile(u)
+    elif isinstance(d, KernelDensity):
+        x = _draw_kde(d, n, rng)
+    elif isinstance(d, LogKernelDensity):
+        x = np.exp(_draw(d._inner, n, rng))
+    elif isinstance(d, Pushforward):
+        x = np.asarray(d.phi(_draw(d.base, n, rng)), dtype=float)
+    else:
+        raise UnsupportedSamplerError(
+            f"family '{d.family}' has no quantile and no exact sampler"
+        )
+    # Rounding in a quantile or a map can land a draw on an endpoint.
     lo, hi = d.support
-    a = lo if math.isfinite(lo) else _cdf_level(d, 1e-9)
-    b = hi if math.isfinite(hi) else _cdf_level(d, 1.0 - 1e-9)
-    grid = np.linspace(a, b, 4097)[1:-1]
-    peak = float(d.pdf(grid).max())
-    if peak <= 0.0:
-        raise UnsupportedSamplerError("pdf vanishes on the proposal interval")
-    # Detect an unbounded spike at a finite support endpoint.
-    for endpoint in (lo, hi):
-        if math.isfinite(endpoint):
-            probe = endpoint + (1e-12 if endpoint == lo else -1e-12) * max(
-                1.0, abs(endpoint), b - a
-            )
-            if float(d.pdf(probe)) > 50.0 * peak:
-                raise UnsupportedSamplerError(
-                    "pdf appears unbounded near the support boundary; "
-                    "accept-reject envelope is unavailable"
-                )
-    envelope = 1.2 * peak
-    out = np.empty(n)
-    filled = 0
-    while filled < n:
-        want = n - filled
-        batch = max(64, int(1.5 * want * envelope * (b - a)))
-        xs = rng.uniform(a, b, batch)
-        us = rng.uniform(0.0, envelope, batch)
-        keep = xs[us < d.pdf(xs)]
-        take = min(want, keep.size)
-        out[filled : filled + take] = keep[:take]
-        filled += take
-    return out
+    return np.clip(x, np.nextafter(lo, hi), np.nextafter(hi, lo))
+
+
+def _draw_kde(d: KernelDensity, n: int, rng) -> np.ndarray:
+    lo, hi = d.support
+    h = d.bandwidth
+    a = (lo - d.points) / h
+    b = (hi - d.points) / h
+    # A kernel centred below the support is drawn by reflection from its
+    # lower tail: the difference of two cdf values near 1 would round a
+    # far tail's small mass away.
+    flip = a > 0.0
+    a, b = np.where(flip, -b, a), np.where(flip, -a, b)
+    cdf_a = _norm_cdf(a)
+    mass = _norm_cdf(b) - cdf_a
+    i = rng.choice(mass.size, size=n, p=mass / mass.sum())
+    p = cdf_a[i] + rng.random(n) * mass[i]
+    z = _norm_ppf(np.clip(p, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)))
+    return d.points[i] + h * np.where(flip[i], -z, z)

@@ -102,6 +102,15 @@ def _flat_level(d: Density):
     return None
 
 
+def _power_exponent(d: Density):
+    """a when d is Power(a); Uniform(0, 1) is the flat case a = 1."""
+    if isinstance(d, Power):
+        return d.alpha
+    if isinstance(d, Uniform) and d.support == (0.0, 1.0):
+        return 1.0
+    return None
+
+
 def _common_support(f: Density, g: Density):
     lo = max(f.support[0], g.support[0])
     hi = min(f.support[1], g.support[1])
@@ -144,6 +153,9 @@ def entropy(f: Density, method: str = "auto", tol: float = quadrature.DEFAULT_TO
         level = _flat_level(f)
         if level is not None:
             return _closed(-math.log(level))
+        a = _power_exponent(f)
+        if a is not None:
+            return _closed(-math.log(a) + (a - 1.0) / a)
     r = quadrature.expectation(f, _neg_log_pdf(f), tol=tol, rel_tol=_REL_TOL)
     return MeasureValue(r.value, "quadrature", r.abs_error_estimate)
 
@@ -160,6 +172,9 @@ def varentropy(f: Density, method: str = "auto", tol: float = quadrature.DEFAULT
             return _closed(1.0)
         if _flat_level(f) is not None:
             return _closed(0.0)
+        a = _power_exponent(f)
+        if a is not None:
+            return _closed(((a - 1.0) / a) ** 2)
     _, var, err = _mean_and_var(f, _neg_log_pdf(f), tol, None)
     return MeasureValue(var, "quadrature", err)
 
@@ -186,8 +201,9 @@ def _inaccuracy_closed(f, g):
         return _closed(-math.log(level))
     if isinstance(f, Exponential) and isinstance(g, Exponential):
         return _closed(-math.log(g.rate) + g.rate / f.rate)
-    if _flat_level(f) is not None and f.support == (0.0, 1.0) and isinstance(g, Power):
-        return _closed(-math.log(g.alpha) + (g.alpha - 1.0))
+    a = _power_exponent(f)
+    if a is not None and isinstance(g, Power):
+        return _closed(-math.log(g.alpha) + (g.alpha - 1.0) / a)
     return None
 
 
@@ -213,8 +229,9 @@ def _varinaccuracy_closed(f, g):
         return _closed(0.0)
     if isinstance(f, Exponential) and isinstance(g, Exponential):
         return _closed((g.rate / f.rate) ** 2)
-    if _flat_level(f) is not None and f.support == (0.0, 1.0) and isinstance(g, Power):
-        return _closed((g.alpha - 1.0) ** 2)
+    a = _power_exponent(f)
+    if a is not None and isinstance(g, Power):
+        return _closed(((g.alpha - 1.0) / a) ** 2)
     return None
 
 

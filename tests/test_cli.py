@@ -18,6 +18,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def strict_loads(text):
+    """json.loads that fails on the non-standard Infinity/NaN constants."""
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def csv_rows(text):
     lines = [ln for ln in text.strip().split("\n") if ln]
     header = lines[0].split(",")
@@ -112,6 +121,25 @@ class TestMeasuresCommand:
         _, out, _ = run(capsys, "measures", "--f", "exp:1", "--g", "exp:2", "--json")
         payload = json.loads(out)
         assert json.loads(json.dumps(payload)) == payload
+
+    def test_power_pair_closed_forms(self, capsys):
+        code, out, _ = run(
+            capsys, "measures", "--f", "power:0.01", "--g", "power:50", "--json"
+        )
+        assert code == 0
+        records = json.loads(out)["measures"]
+        assert {r["method"] for r in records} == {"closed_form"}
+        values = {r["measure"]: r["value"] for r in records}
+        assert abs(values["K"] - (values["I"] - values["H"])) <= 1e-12 * values["I"]
+
+    def test_json_is_strict_with_infinities(self, capsys):
+        code, out, _ = run(
+            capsys, "measures", "--f", "exp:1", "--g", "power:2", "--json"
+        )
+        assert code == 0
+        records = strict_loads(out)["measures"]
+        values = {r["measure"]: r["value"] for r in records}
+        assert [values[m] for m in ("I", "VarI", "K", "VarK")] == ["inf"] * 4
 
     def test_text_output_has_method_tags(self, capsys):
         code, out, _ = run(capsys, "measures", "--f", "exp:1", "--g", "exp:2")
@@ -305,6 +333,26 @@ class TestFitCommand:
         assert code == 2
         assert ":3:" in err and "bogus" in err
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_counts_exit_code(self, capsys, tmp_path, bad):
+        path = tmp_path / "counts.txt"
+        path.write_text(f"20\n{bad}\n84\n33\n")
+        code, _, err = run(
+            capsys, "fit", "--data", str(path), "--discrete", "--candidates", "binomial"
+        )
+        assert code == 2
+        assert "integer counts" in err
+
+    def test_disqualified_candidate_json_is_strict(self, capsys):
+        code, out, _ = run(
+            capsys, "fit", "--data", "murthy41", "--candidates", "w2", "uniform:0,50",
+            "--json",
+        )
+        assert code == 0
+        payload = strict_loads(out)
+        cand = {c["label"]: c for c in payload["candidates"]}["uniform:0.0,50.0"]
+        assert cand["K"] == "inf" and cand["VarK"] == "inf"
+
     def test_missing_file_exit_code(self, capsys):
         code, _, _ = run(
             capsys, "fit", "--data", "/nonexistent/file.txt", "--candidates", "w2"
@@ -377,6 +425,20 @@ class TestPrecisionFlag:
         )
         assert "1.30685" in out6
         assert "1.30685281944" in out12
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["measures", "--f", "exp:1", "--g", "exp:2"],
+            ["fit", "--data", "murthy41", "--candidates", "w2"],
+        ],
+        ids=["measures", "fit"],
+    )
+    def test_negative_precision_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--precision", "-3"])
+        assert exc.value.code == 2
+        assert "--precision" in capsys.readouterr().err
 
 
 class TestReproduceCommand:

@@ -1,15 +1,18 @@
 """Distribution families, pdf inversion, transforms, sampling, pmfs."""
 
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from varidx.distributions import (
+    Density,
     Exponential,
     FinitePMF,
     KernelDensity,
+    LogKernelDensity,
     Lognormal,
     Power,
     SampleData,
@@ -293,12 +296,51 @@ class TestSampling:
         # E[X^2] under 3x^2 on (0,1) is 3/5.
         assert abs(sd.mean - 0.6) <= 0.05
 
-    def test_unbounded_pdf_rejected(self):
-        d = push_forward(
-            Uniform(0.0, 1.0), lambda x: x * x, lambda y: np.sqrt(y), lambda x: 2.0 * x
-        )
-        with pytest.raises(UnsupportedSamplerError):
-            sample(d, 100, 3)
+    @pytest.mark.parametrize(
+        "d,cdf",
+        [
+            # pdf 1/(2 sqrt(y)) is unbounded at 0; cdf sqrt(y) on (0, 1).
+            (
+                push_forward(
+                    Uniform(0.0, 1.0),
+                    lambda x: x * x,
+                    lambda y: np.sqrt(y),
+                    lambda x: 2.0 * x,
+                ),
+                np.sqrt,
+            ),
+            (KernelDensity([0.0, 0.5, 1.0, 3.0], 0.5, (0.25, 2.0)), None),
+            (LogKernelDensity([0.5, 1.0, 2.0, 4.0, 30.0], 0.4), None),
+            # The support holds 1.4e-7 of the mixture's mass.
+            (KernelDensity([0.0, 1.0], 0.1, (1.5, 2.0)), None),
+        ],
+        ids=["x**2 of Uniform(0, 1)", "kde", "log-kde", "kde low-mass support"],
+    )
+    def test_exact_sampler_against_cdf(self, d, cdf):
+        n = 10**4
+        start = time.perf_counter()
+        v = np.sort(sample(d, n, 29).values)
+        assert time.perf_counter() - start < 1.0
+        lo, hi = d.support
+        assert np.all((v > lo) & (v < hi))
+        c = (cdf or d.cdf)(v)
+        i = np.arange(1, n + 1)
+        ks = max(float(np.max(i / n - c)), float(np.max(c - (i - 1) / n)))
+        # 1.63 / sqrt(n) is the KS critical value at level 0.01.
+        assert ks < 1.63 / math.sqrt(n)
+
+    def test_law_without_quantile_or_sampler_rejected(self):
+        class Triangle(Density):
+            family = "triangle"
+
+            def __init__(self):
+                super().__init__((), (0.0, 1.0), "increasing")
+
+            def _pdf(self, x):
+                return 2.0 * x
+
+        with pytest.raises(UnsupportedSamplerError, match="triangle"):
+            sample(Triangle(), 10, 1)
 
     def test_sample_size_validation(self):
         with pytest.raises(InvalidParameterError):
@@ -377,3 +419,8 @@ class TestFinitePMF:
     def test_probabilities_must_sum_to_one(self):
         with pytest.raises(InvalidParameterError):
             FinitePMF((0, 1), np.array([0.5, 0.6]))
+
+    @pytest.mark.parametrize("probs", [[math.nan, 1.0], [math.inf, 0.0]])
+    def test_non_finite_probabilities_rejected(self, probs):
+        with pytest.raises(InvalidParameterError):
+            FinitePMF((0, 1), probs)

@@ -357,6 +357,10 @@ class TestClosedFormCells:
         (var_kl, (Exponential(0.5), Exponential(1.5))),
         (var_kl, (Power(2.0), Power(3.0))),
         (var_kl, (Lognormal(0.0, 1.0), Lognormal(0.0, 1.0))),
+        (entropy, (Power(0.5),)),
+        (varentropy, (Power(0.5),)),
+        (inaccuracy, (Power(0.5), Power(3.0))),
+        (varinaccuracy, (Power(0.5), Power(3.0))),
     ]
 
     @pytest.mark.parametrize("fn,args", CELLS, ids=lambda v: getattr(v, "__name__", ""))
