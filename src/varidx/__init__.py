@@ -36,11 +36,13 @@ from .estimation import (
     silverman_bandwidth,
 )
 from .measures import (
+    InfoMoments,
     MeasureValue,
     entropy,
     entropy_pmf,
     inaccuracy,
     inaccuracy_pmf,
+    info_moments,
     kl,
     kl_pmf,
     log_log_cov,
@@ -72,6 +74,7 @@ __all__ = [
     "Exponential",
     "FinitePMF",
     "FitResult",
+    "InfoMoments",
     "IntegralResult",
     "KernelDensity",
     "LogKernelDensity",
@@ -96,6 +99,7 @@ __all__ = [
     "fit_weibull_mle",
     "inaccuracy",
     "inaccuracy_pmf",
+    "info_moments",
     "integrate",
     "inverse_pdf",
     "kde",

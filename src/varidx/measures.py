@@ -1,20 +1,35 @@
 """Uncertainty measures and their dispersion indices.
 
-Continuous operations take :class:`~varidx.distributions.Density` pairs
-and dispatch to closed forms where a (family, family) cell is known,
-falling back to adaptive quadrature otherwise; `method="quadrature"`
-forces the numerical path so both routes stay testable.  Discrete
-counterparts operate on :class:`~varidx.distributions.FinitePMF` values
-by direct summation.
+Every measure of a pair (f, g) is a moment of a = log f(X) and
+b = log g(X) under X ~ f: H and VarH are the mean and variance of -a,
+I and VarI those of -b, K and VarK those of a - b, and
+cov = cov_f(a, b).  :func:`info_moments` computes all seven as one
+:class:`InfoMoments` record, and is the only place that integrates,
+sums or looks up a closed form; `entropy`, `kl` and the other measure
+functions each read one field of it (`entropy(f)` is the record of
+(f, f)).  Each field carries its evaluation route:
 
-Divergent values (mass of f where g vanishes) are returned as +inf
-rather than raised: a diverging measure is a legitimate answer, and the
-selection layer treats it as disqualifying.
+- ``closed_form``: a known (family, family) cell.  K and VarK follow by
+  the identities K = I - H and VarK = VarH + VarI - 2 cov wherever
+  their inputs are known.
+- ``quadrature``: one adaptive quadrature of the rows
+  [a, a^2, b, b^2, a - b, (a - b)^2] on the common support, with log f
+  and log g evaluated once per node and the pdf taken as exp(a).  It
+  runs only when a field is still missing and fills only those fields;
+  cov = (VarH + VarI - VarK) / 2, so both identities hold to rounding.
+- ``summation``: a pair of FinitePMF values, summed in one pass.
+- ``divergent``: f has mass where g vanishes.  I, VarI, K, VarK and cov
+  are +inf rather than an error, since a diverging measure is a
+  legitimate answer that the selection layer treats as disqualifying;
+  H and VarH stay f's own.
+
+`method="quadrature"` skips the closed forms so both routes stay
+testable.
 
 Conventions: 0 * log 0 = 0 and 0 * log(0/0) = 0 in all sums; regions
 where the reference density vanishes contribute nothing to integrals;
 log-densities are evaluated analytically in log space (never through a
-floored pdf, which would silently cap deep tails); variance-type
+floored pdf, which would silently cap deep tails); K and variance-type
 results within 1e-9 below zero are clamped to 0.
 """
 
@@ -35,6 +50,8 @@ from .errors import (
 
 __all__ = [
     "MeasureValue",
+    "InfoMoments",
+    "info_moments",
     "entropy",
     "varentropy",
     "inaccuracy",
@@ -57,6 +74,9 @@ _MASS_TOL = 1e-12
 # values are governed by the absolute tolerance, while extreme parameter
 # ratios (second moments of order 1e8 and beyond) stay computable.
 _REL_TOL = 1e-12
+# The fields that the closed forms or one quadrature supply; cov is
+# derived from them when no closed form gives it.
+_MOMENTS = ("H", "VarH", "I", "VarI", "K", "VarK")
 
 
 @dataclass(frozen=True)
@@ -64,7 +84,7 @@ class MeasureValue:
     """A computed measure: value, evaluation route, error estimate."""
 
     value: float
-    method: str  # closed_form | quadrature | summation
+    method: str  # closed_form | quadrature | summation | divergent
     abs_error_estimate: float = 0.0
 
     def __float__(self):
@@ -75,14 +95,24 @@ class MeasureValue:
         return math.isinf(self.value)
 
 
-_INF = MeasureValue(math.inf, "closed_form", 0.0)
+@dataclass(frozen=True)
+class InfoMoments:
+    """All measures of one pair (f, g), each a :class:`MeasureValue`."""
+
+    H: MeasureValue
+    VarH: MeasureValue
+    I: MeasureValue  # noqa: E741
+    VarI: MeasureValue
+    K: MeasureValue
+    VarK: MeasureValue
+    cov: MeasureValue
 
 
-def _closed(value: float) -> MeasureValue:
-    return MeasureValue(float(value), "closed_form", 0.0)
+_DIVERGENT = MeasureValue(math.inf, "divergent", 0.0)
 
 
-def _clamp_variance(value: float) -> float:
+def _clamp(value: float) -> float:
+    """0 for values within rounding below zero of a nonnegative measure."""
     if -_NEG_CLAMP <= value < 0.0:
         return 0.0
     return value
@@ -123,214 +153,11 @@ def _common_support(f: Density, g: Density):
 
 def _divergent(f: Density, lo: float, hi: float) -> bool:
     """True when f carries non-negligible mass outside (lo, hi)."""
+    if f.support == (lo, hi):
+        return False  # cdf(lo) = 0 and cdf(hi) = 1 exactly
     outside = float(f.cdf(lo)) + float(1.0 - f.cdf(hi))
     return outside > _MASS_TOL
 
-
-def _neg_log_pdf(d: Density):
-    return lambda x: -d.log_pdf(x)
-
-
-def _mean_and_var(f, w, tol, interval):
-    m1, m2 = quadrature.expectations(
-        f, [w, lambda x: w(x) ** 2], tol=tol, interval=interval, rel_tol=_REL_TOL
-    )
-    var = _clamp_variance(m2.value - m1.value**2)
-    err = m2.abs_error_estimate + 2.0 * abs(m1.value) * m1.abs_error_estimate
-    return m1, var, err
-
-
-# ----------------------------------------------------------------------
-# Continuous measures
-# ----------------------------------------------------------------------
-
-def entropy(f: Density, method: str = "auto", tol: float = quadrature.DEFAULT_TOL) -> MeasureValue:
-    """Average information content E_f[-log f(X)]."""
-    _check_method(method)
-    if method == "auto":
-        if isinstance(f, Exponential):
-            return _closed(1.0 - math.log(f.rate))
-        level = _flat_level(f)
-        if level is not None:
-            return _closed(-math.log(level))
-        a = _power_exponent(f)
-        if a is not None:
-            return _closed(-math.log(a) + (a - 1.0) / a)
-    r = quadrature.expectation(f, _neg_log_pdf(f), tol=tol, rel_tol=_REL_TOL)
-    return MeasureValue(r.value, "quadrature", r.abs_error_estimate)
-
-
-def varentropy(f: Density, method: str = "auto", tol: float = quadrature.DEFAULT_TOL) -> MeasureValue:
-    """Dispersion of the information content: Var_f[-log f(X)].
-
-    Vanishes exactly when f is uniform on its support; equals 1 for
-    every exponential law.
-    """
-    _check_method(method)
-    if method == "auto":
-        if isinstance(f, Exponential):
-            return _closed(1.0)
-        if _flat_level(f) is not None:
-            return _closed(0.0)
-        a = _power_exponent(f)
-        if a is not None:
-            return _closed(((a - 1.0) / a) ** 2)
-    _, var, err = _mean_and_var(f, _neg_log_pdf(f), tol, None)
-    return MeasureValue(var, "quadrature", err)
-
-
-def inaccuracy(f: Density, g: Density, method: str = "auto", tol: float = quadrature.DEFAULT_TOL) -> MeasureValue:
-    """Cross entropy E_f[-log g(X)]; +inf when f has mass where g vanishes."""
-    _check_method(method)
-    lo, hi = _common_support(f, g)
-    if _divergent(f, lo, hi):
-        return _INF
-    if method == "auto":
-        closed = _inaccuracy_closed(f, g)
-        if closed is not None:
-            return closed
-    r = quadrature.expectation(
-        f, _neg_log_pdf(g), tol=tol, interval=(lo, hi), rel_tol=_REL_TOL
-    )
-    return MeasureValue(r.value, "quadrature", r.abs_error_estimate)
-
-
-def _inaccuracy_closed(f, g):
-    level = _flat_level(g)
-    if level is not None:
-        return _closed(-math.log(level))
-    if isinstance(f, Exponential) and isinstance(g, Exponential):
-        return _closed(-math.log(g.rate) + g.rate / f.rate)
-    a = _power_exponent(f)
-    if a is not None and isinstance(g, Power):
-        return _closed(-math.log(g.alpha) + (g.alpha - 1.0) / a)
-    return None
-
-
-def varinaccuracy(f: Density, g: Density, method: str = "auto", tol: float = quadrature.DEFAULT_TOL) -> MeasureValue:
-    """Dispersion of the cross information: Var_f[-log g(X)].
-
-    Zero exactly when g is uniform on the common support.
-    """
-    _check_method(method)
-    lo, hi = _common_support(f, g)
-    if _divergent(f, lo, hi):
-        return _INF
-    if method == "auto":
-        closed = _varinaccuracy_closed(f, g)
-        if closed is not None:
-            return closed
-    _, var, err = _mean_and_var(f, _neg_log_pdf(g), tol, (lo, hi))
-    return MeasureValue(var, "quadrature", err)
-
-
-def _varinaccuracy_closed(f, g):
-    if _flat_level(g) is not None:
-        return _closed(0.0)
-    if isinstance(f, Exponential) and isinstance(g, Exponential):
-        return _closed((g.rate / f.rate) ** 2)
-    a = _power_exponent(f)
-    if a is not None and isinstance(g, Power):
-        return _closed(((g.alpha - 1.0) / a) ** 2)
-    return None
-
-
-def kl(f: Density, g: Density, method: str = "auto", tol: float = quadrature.DEFAULT_TOL) -> MeasureValue:
-    """Divergence E_f[log(f(X)/g(X))]; nonnegative, +inf without
-    absolute continuity of f with respect to g."""
-    _check_method(method)
-    lo, hi = _common_support(f, g)
-    if _divergent(f, lo, hi):
-        return _INF
-    if method == "auto":
-        closed = _kl_closed(f, g)
-        if closed is not None:
-            return closed
-    w = _log_ratio(f, g)
-    r = quadrature.expectation(f, w, tol=tol, interval=(lo, hi), rel_tol=_REL_TOL)
-    value = r.value
-    if -_NEG_CLAMP <= value < 0.0:
-        value = 0.0
-    return MeasureValue(value, "quadrature", r.abs_error_estimate)
-
-
-def _log_ratio(f, g):
-    def w(x):
-        return f.log_pdf(x) - g.log_pdf(x)
-
-    return w
-
-
-def _kl_closed(f, g):
-    if f.same_law(g):
-        return _closed(0.0)
-    if isinstance(f, Exponential) and isinstance(g, Exponential):
-        lam, eta = f.rate, g.rate
-        return _closed(math.log(lam / eta) + eta / lam - 1.0)
-    if isinstance(f, Power) and isinstance(g, Power):
-        a, b = f.alpha, g.alpha
-        return _closed(math.log(a / b) + (b - a) / a)
-    return None
-
-
-def var_kl(f: Density, g: Density, method: str = "auto", tol: float = quadrature.DEFAULT_TOL) -> MeasureValue:
-    """Dispersion of the divergence: Var_f[log(f(X)/g(X))].
-
-    Zero if and only if the two laws coincide.
-    """
-    _check_method(method)
-    lo, hi = _common_support(f, g)
-    if _divergent(f, lo, hi):
-        return _INF
-    if method == "auto":
-        closed = _var_kl_closed(f, g)
-        if closed is not None:
-            return closed
-    _, var, err = _mean_and_var(f, _log_ratio(f, g), tol, (lo, hi))
-    return MeasureValue(var, "quadrature", err)
-
-
-def _var_kl_closed(f, g):
-    if f.same_law(g):
-        return _closed(0.0)
-    if isinstance(f, Exponential) and isinstance(g, Exponential):
-        return _closed(((g.rate - f.rate) / f.rate) ** 2)
-    if isinstance(f, Power) and isinstance(g, Power):
-        return _closed(((f.alpha - g.alpha) / f.alpha) ** 2)
-    return None
-
-
-def log_log_cov(f: Density, g: Density, tol: float = quadrature.DEFAULT_TOL) -> MeasureValue:
-    """cov_f(log f(X), log g(X)), always by quadrature on one partition."""
-    lo, hi = _common_support(f, g)
-    if _divergent(f, lo, hi):
-        return _INF
-
-    def lf(x):
-        return f.log_pdf(x)
-
-    def lg(x):
-        return g.log_pdf(x)
-
-    m_f, m_g, m_fg = quadrature.expectations(
-        f,
-        [lf, lg, lambda x: lf(x) * lg(x)],
-        tol=tol,
-        interval=(lo, hi),
-        rel_tol=_REL_TOL,
-    )
-    cov = m_fg.value - m_f.value * m_g.value
-    err = (
-        m_fg.abs_error_estimate
-        + abs(m_f.value) * m_g.abs_error_estimate
-        + abs(m_g.value) * m_f.abs_error_estimate
-    )
-    return MeasureValue(cov, "quadrature", err)
-
-
-# ----------------------------------------------------------------------
-# Discrete measures (direct summation)
-# ----------------------------------------------------------------------
 
 def _check_pair(P: FinitePMF, Q: FinitePMF):
     if P.labels != Q.labels:
@@ -339,81 +166,207 @@ def _check_pair(P: FinitePMF, Q: FinitePMF):
         )
 
 
-def _summation(value: float) -> MeasureValue:
-    return MeasureValue(float(value), "summation", 0.0)
+# ----------------------------------------------------------------------
+# The record
+# ----------------------------------------------------------------------
 
+def info_moments(
+    f, g, method: str = "auto", tol: float = quadrature.DEFAULT_TOL
+) -> InfoMoments:
+    """All measures of the pair (f, g) as one :class:`InfoMoments` record.
+
+    f and g are both :class:`~varidx.distributions.Density` values or
+    both :class:`~varidx.distributions.FinitePMF` values.  Continuous
+    pairs take closed forms where known (unless `method="quadrature"`)
+    and at most one quadrature for the rest; discrete pairs are summed.
+    A pair where f has mass outside g's support gets f's own H and VarH
+    and +inf for every other field.
+    """
+    _check_method(method)
+    if isinstance(f, FinitePMF):
+        _check_pair(f, g)
+        divergent = bool(np.any((f.probs > 0.0) & (g.probs == 0.0)))
+    else:
+        lo, hi = _common_support(f, g)
+        divergent = _divergent(f, lo, hi)
+    if divergent:
+        own = info_moments(f, f, method, tol)
+        return InfoMoments(own.H, own.VarH, *[_DIVERGENT] * 5)
+    if isinstance(f, FinitePMF):
+        fields = _summed(f, g)
+    else:
+        fields = _closed_fields(f, g) if method == "auto" else {}
+        if not fields.keys() >= set(_MOMENTS):
+            fields = {**_integrated(f, g, lo, hi, tol), **fields}
+    if "cov" not in fields:
+        vh, vi, vk = fields["VarH"], fields["VarI"], fields["VarK"]
+        fields["cov"] = MeasureValue(
+            0.5 * (vh.value + vi.value - vk.value),
+            vi.method,
+            0.5 * (vh.abs_error_estimate + vi.abs_error_estimate + vk.abs_error_estimate),
+        )
+    return InfoMoments(**fields)
+
+
+def _closed_fields(f: Density, g: Density) -> dict:
+    """The fields of (f, g) that a closed form gives."""
+    known = {}
+    a = _power_exponent(f)
+    if isinstance(f, Exponential):
+        known.update(H=1.0 - math.log(f.rate), VarH=1.0)
+    elif (level := _flat_level(f)) is not None:
+        known.update(H=-math.log(level), VarH=0.0)
+    elif a is not None:
+        known.update(H=-math.log(a) + (a - 1.0) / a, VarH=((a - 1.0) / a) ** 2)
+
+    if (level := _flat_level(g)) is not None:
+        known.update(I=-math.log(level), VarI=0.0, cov=0.0)
+    elif isinstance(f, Exponential) and isinstance(g, Exponential):
+        # log f = log lam - lam x, log g = log eta - eta x, Var X = 1/lam^2.
+        r = g.rate / f.rate
+        known.update(I=-math.log(g.rate) + r, VarI=r * r, cov=r)
+    elif a is not None and isinstance(g, Power):
+        # -log X ~ Exp(a): log f and log g are affine in log X.
+        b = g.alpha
+        known.update(
+            I=-math.log(b) + (b - 1.0) / a,
+            VarI=((b - 1.0) / a) ** 2,
+            cov=(a - 1.0) * (b - 1.0) / (a * a),
+        )
+
+    if f.same_law(g):
+        known.update(K=0.0, VarK=0.0)
+    if "K" not in known and {"I", "H"} <= known.keys():
+        known["K"] = _clamp(known["I"] - known["H"])
+    if "VarK" not in known and {"VarH", "VarI", "cov"} <= known.keys():
+        known["VarK"] = _clamp(known["VarH"] + known["VarI"] - 2.0 * known["cov"])
+    return {name: MeasureValue(float(v), "closed_form", 0.0) for name, v in known.items()}
+
+
+def _integrated(f: Density, g: Density, lo: float, hi: float, tol: float) -> dict:
+    """H, VarH, I, VarI, K and VarK from one quadrature on (lo, hi)."""
+    same = g is f
+
+    def rows(x):
+        out = np.zeros((6, x.size))
+        a = f.log_pdf(x)
+        p = np.exp(a)
+        m = p > 0.0
+        if np.any(m):
+            a, p = a[m], p[m]
+            b = a if same else g.log_pdf(x[m])
+            c = a - b
+            out[:, m] = p * np.stack([a, a * a, b, b * b, c, c * c])
+        return out
+
+    value, error, _ = quadrature._integrate_vector(
+        rows, lo, hi, tol, _REL_TOL, quadrature.MAX_PANELS
+    )
+    return _from_moments(value, error, "quadrature")
+
+
+def _summed(P: FinitePMF, Q: FinitePMF) -> dict:
+    """H, VarH, I, VarI, K and VarK of a pair without divergence."""
+    m = P.probs > 0.0
+    w = P.probs[m]
+    a = np.log(w)
+    b = np.log(Q.probs[m])
+    c = a - b
+    value = np.array([np.sum(w * z) for z in (a, a * a, b, b * b, c, c * c)])
+    return _from_moments(value, np.zeros(6), "summation")
+
+
+def _from_moments(value, error, route: str) -> dict:
+    """Fields from E[a], E[a^2], E[b], E[b^2], E[c], E[c^2] with c = a - b."""
+    fields = {}
+    for i, (mean, var) in enumerate((("H", "VarH"), ("I", "VarI"), ("K", "VarK"))):
+        m1, m2 = float(value[2 * i]), float(value[2 * i + 1])
+        e1, e2 = float(error[2 * i]), float(error[2 * i + 1])
+        fields[mean] = MeasureValue(_clamp(m1) if mean == "K" else -m1, route, e1)
+        fields[var] = MeasureValue(_clamp(m2 - m1 * m1), route, e2 + 2.0 * abs(m1) * e1)
+    return fields
+
+
+# ----------------------------------------------------------------------
+# Continuous measures
+# ----------------------------------------------------------------------
+
+def entropy(f: Density, method: str = "auto", tol: float = quadrature.DEFAULT_TOL) -> MeasureValue:
+    """Average information content E_f[-log f(X)]."""
+    return info_moments(f, f, method, tol).H
+
+
+def varentropy(f: Density, method: str = "auto", tol: float = quadrature.DEFAULT_TOL) -> MeasureValue:
+    """Dispersion of the information content: Var_f[-log f(X)].
+
+    Vanishes exactly when f is uniform on its support; equals 1 for
+    every exponential law.
+    """
+    return info_moments(f, f, method, tol).VarH
+
+
+def inaccuracy(f: Density, g: Density, method: str = "auto", tol: float = quadrature.DEFAULT_TOL) -> MeasureValue:
+    """Cross entropy E_f[-log g(X)]; +inf when f has mass where g vanishes."""
+    return info_moments(f, g, method, tol).I
+
+
+def varinaccuracy(f: Density, g: Density, method: str = "auto", tol: float = quadrature.DEFAULT_TOL) -> MeasureValue:
+    """Dispersion of the cross information: Var_f[-log g(X)].
+
+    Zero exactly when g is uniform on the common support.
+    """
+    return info_moments(f, g, method, tol).VarI
+
+
+def kl(f: Density, g: Density, method: str = "auto", tol: float = quadrature.DEFAULT_TOL) -> MeasureValue:
+    """Divergence E_f[log(f(X)/g(X))]; nonnegative, +inf without
+    absolute continuity of f with respect to g."""
+    return info_moments(f, g, method, tol).K
+
+
+def var_kl(f: Density, g: Density, method: str = "auto", tol: float = quadrature.DEFAULT_TOL) -> MeasureValue:
+    """Dispersion of the divergence: Var_f[log(f(X)/g(X))].
+
+    Zero if and only if the two laws coincide.
+    """
+    return info_moments(f, g, method, tol).VarK
+
+
+def log_log_cov(f: Density, g: Density, tol: float = quadrature.DEFAULT_TOL) -> MeasureValue:
+    """cov_f(log f(X), log g(X)) = (VarH + VarI - VarK) / 2."""
+    return info_moments(f, g, tol=tol).cov
+
+
+# ----------------------------------------------------------------------
+# Discrete measures (direct summation)
+# ----------------------------------------------------------------------
 
 def entropy_pmf(P: FinitePMF) -> MeasureValue:
     """Discrete entropy -sum P log P with 0 log 0 = 0."""
-    p = P.probs
-    m = p > 0.0
-    return _summation(-float(np.sum(p[m] * np.log(p[m]))))
+    return info_moments(P, P).H
 
 
 def varentropy_pmf(P: FinitePMF) -> MeasureValue:
-    p = P.probs
-    m = p > 0.0
-    logs = np.log(p[m])
-    h = -float(np.sum(p[m] * logs))
-    second = float(np.sum(p[m] * logs**2))
-    return _summation(_clamp_variance(second - h * h))
-
-
-def _diverges(P: FinitePMF, Q: FinitePMF) -> bool:
-    return bool(np.any((P.probs > 0.0) & (Q.probs == 0.0)))
+    return info_moments(P, P).VarH
 
 
 def inaccuracy_pmf(P: FinitePMF, Q: FinitePMF) -> MeasureValue:
     """Discrete cross entropy -sum P log Q; +inf if Q misses P's mass."""
-    _check_pair(P, Q)
-    if _diverges(P, Q):
-        return _INF
-    m = P.probs > 0.0
-    return _summation(-float(np.sum(P.probs[m] * np.log(Q.probs[m]))))
+    return info_moments(P, Q).I
 
 
 def varinaccuracy_pmf(P: FinitePMF, Q: FinitePMF) -> MeasureValue:
-    _check_pair(P, Q)
-    if _diverges(P, Q):
-        return _INF
-    m = P.probs > 0.0
-    logs = np.log(Q.probs[m])
-    i = -float(np.sum(P.probs[m] * logs))
-    second = float(np.sum(P.probs[m] * logs**2))
-    return _summation(_clamp_variance(second - i * i))
+    return info_moments(P, Q).VarI
 
 
 def kl_pmf(P: FinitePMF, Q: FinitePMF) -> MeasureValue:
     """Discrete divergence sum P log(P/Q); terms with P(x) = 0 vanish."""
-    _check_pair(P, Q)
-    if _diverges(P, Q):
-        return _INF
-    m = P.probs > 0.0
-    ratio = np.log(P.probs[m] / Q.probs[m])
-    value = float(np.sum(P.probs[m] * ratio))
-    if -_NEG_CLAMP <= value < 0.0:
-        value = 0.0
-    return _summation(value)
+    return info_moments(P, Q).K
 
 
 def var_kl_pmf(P: FinitePMF, Q: FinitePMF) -> MeasureValue:
-    _check_pair(P, Q)
-    if _diverges(P, Q):
-        return _INF
-    m = P.probs > 0.0
-    ratio = np.log(P.probs[m] / Q.probs[m])
-    k = float(np.sum(P.probs[m] * ratio))
-    second = float(np.sum(P.probs[m] * ratio**2))
-    return _summation(_clamp_variance(second - k * k))
+    return info_moments(P, Q).VarK
 
 
 def log_log_cov_pmf(P: FinitePMF, Q: FinitePMF) -> MeasureValue:
-    _check_pair(P, Q)
-    if _diverges(P, Q):
-        return _INF
-    m = P.probs > 0.0
-    lp = np.log(P.probs[m])
-    lq = np.log(Q.probs[m])
-    w = P.probs[m]
-    cov = float(np.sum(w * lp * lq) - np.sum(w * lp) * np.sum(w * lq))
-    return _summation(cov)
+    return info_moments(P, Q).cov

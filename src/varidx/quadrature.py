@@ -1,8 +1,12 @@
 """Adaptive numerical integration on open intervals.
 
 A 15-point Kronrod rule nested over 7-point Gauss drives a globally
-adaptive bisection: the panel with the largest error estimate is split
-until the summed estimate drops below the requested tolerance.  All
+adaptive bisection.  An integrand may have several components (rows)
+sharing one partition; each row converges when its summed error
+estimate drops below its goal ``max(tol, rel_tol * |value|)``.  The
+panel split next is the one whose largest error relative to its row's
+goal is greatest, so a row already within its (possibly loose,
+relative) goal draws no further refinement.  All
 quadrature nodes are strictly interior, so integrable endpoint
 singularities (log-type blow-ups of the integrands used elsewhere in
 this package) are handled by refinement near the endpoint rather than
@@ -15,7 +19,8 @@ minus infinity), which maps the tail onto ``t in (0, 1)``.
 Several expectations can be computed on one shared panel partition via
 :func:`expectations`; the error control then applies to every component
 simultaneously, so derived quantities such as variances see consistent
-discretization on both moments.
+discretization on both moments.  :mod:`varidx.measures` calls the same
+vector loop with its own rows.
 """
 
 from __future__ import annotations
@@ -122,25 +127,24 @@ def _panel_rule(h, a: float, b: float):
 
 
 def _adaptive(h, a: float, b: float, tol: float, rel_tol: float, max_panels: int):
-    """Globally adaptive refinement of ``sum_i integral_i`` for vector h.
+    """Globally adaptive refinement of the integrals of the rows of h.
 
     Converges when every component's summed error estimate drops below
     ``max(tol, rel_tol * |component value|)``.
     """
     val, err = _panel_rule(h, a, b)
     ncomp = val.shape[0]
-    heap = [(-float(err.sum()), 0, a, b, val, err)]
+    heap = [(0.0, 0, a, b, val, err)]
     counter = 1
     n_panels = 1
     frozen: list[tuple[np.ndarray, np.ndarray]] = []
     tot_val = val.copy()
     tot_err = err.copy()
 
-    def converged() -> bool:
+    while heap:
         goal = np.maximum(tol, rel_tol * np.abs(tot_val))
-        return bool(np.all(tot_err <= goal))
-
-    while not converged() and heap:
+        if np.all(tot_err <= goal):
+            break
         if n_panels >= max_panels:
             value, error = _collect(heap, frozen, ncomp)
             raise QuadratureConvergenceError(
@@ -162,9 +166,11 @@ def _adaptive(h, a: float, b: float, tol: float, rel_tol: float, max_panels: int
         v2, e2 = _panel_rule(h, mid, pb)
         tot_val += v1 + v2
         tot_err += e1 + e2
-        heapq.heappush(heap, (-float(e1.sum()), counter, pa, mid, v1, e1))
+        # Panels are keyed by their largest error relative to the goal of
+        # the same component, the quantity the convergence test uses.
+        heapq.heappush(heap, (-float(np.max(e1 / goal)), counter, pa, mid, v1, e1))
         counter += 1
-        heapq.heappush(heap, (-float(e2.sum()), counter, mid, pb, v2, e2))
+        heapq.heappush(heap, (-float(np.max(e2 / goal)), counter, mid, pb, v2, e2))
         counter += 1
         n_panels += 1
 
@@ -206,13 +212,17 @@ def _segments(h, lo: float, hi: float):
 
         def upper(t, _h=h, _lo=lo):
             w = 1.0 - t
-            return _tail_scale(_h(_lo + t / w), w)
+            with np.errstate(divide="ignore"):
+                x = _lo + t / w
+            return _tail_scale(_h(x), w)
 
         return [(upper, 0.0, 1.0)]
 
     def lower(t, _h=h, _hi=hi):
         w = 1.0 - t
-        return _tail_scale(_h(_hi - t / w), w)
+        with np.errstate(divide="ignore"):
+            x = _hi - t / w
+        return _tail_scale(_h(x), w)
 
     return [(lower, 0.0, 1.0)]
 
@@ -233,6 +243,8 @@ def _tail_scale(values, w):
 
 
 def _integrate_vector(h, lo, hi, tol, rel_tol, max_panels):
+    if not tol > 0.0:
+        raise InvalidParameterError("tol must be positive")
     segs = _segments(h, lo, hi)
     seg_tol = tol / len(segs)
     value = None
@@ -279,8 +291,6 @@ def integrate(
     lo, hi = float(interval[0]), float(interval[1])
     if not lo < hi:
         raise InvalidParameterError(f"empty interval ({lo}, {hi})")
-    if not tol > 0.0:
-        raise InvalidParameterError("tol must be positive")
 
     def hv(x, _h=h):
         return np.atleast_2d(np.asarray(_h(x), dtype=float))

@@ -25,7 +25,10 @@ from .errors import (
     NoValidCandidatesError,
     ThresholdViolationError,
 )
-from .measures import MeasureValue, kl, kl_pmf, var_kl, var_kl_pmf
+from .measures import MeasureValue, info_moments
+
+# Not called here; bench/tracing.py wraps these names on this module.
+from .measures import kl, kl_pmf, var_kl, var_kl_pmf  # noqa: F401
 
 __all__ = [
     "Candidate",
@@ -85,12 +88,12 @@ def evaluate_candidate(label: str, dist, f, tol: float = quadrature.DEFAULT_TOL)
             raise InvalidParameterError(
                 f"candidate '{label}' is continuous but the reference is discrete"
             )
-        return Candidate(label, dist, kl_pmf(f, dist), var_kl_pmf(f, dist))
-    if not isinstance(dist, Density):
+    elif not isinstance(dist, Density):
         raise InvalidParameterError(
             f"candidate '{label}' is discrete but the reference is continuous"
         )
-    return Candidate(label, dist, kl(f, dist, tol=tol), var_kl(f, dist, tol=tol))
+    record = info_moments(f, dist, tol=tol)
+    return Candidate(label, dist, record.K, record.VarK)
 
 
 def _exact_match_decision(c1: Candidate, c2: Candidate, r: float):

@@ -141,6 +141,18 @@ class TestMeasuresCommand:
         values = {r["measure"]: r["value"] for r in records}
         assert [values[m] for m in ("I", "VarI", "K", "VarK")] == ["inf"] * 4
 
+    def test_divergent_route(self, capsys):
+        code, out, _ = run(
+            capsys, "measures", "--f", "exp:1", "--g", "power:2", "--json"
+        )
+        assert code == 0
+        records = {r["measure"]: r for r in strict_loads(out)["measures"]}
+        for name in ("I", "VarI", "K", "VarK"):
+            assert records[name]["method"] == "divergent"
+        for name in ("H", "VarH"):
+            assert records[name]["method"] == "closed_form"
+            assert math.isfinite(records[name]["value"])
+
     def test_text_output_has_method_tags(self, capsys):
         code, out, _ = run(capsys, "measures", "--f", "exp:1", "--g", "exp:2")
         assert code == 0

@@ -1,9 +1,12 @@
 """Measure values against known forms, plus the structural identities."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from varidx.distributions import (
     Exponential,
@@ -17,10 +20,13 @@ from varidx.distributions import (
     sample,
 )
 from varidx.errors import DisjointSupportError, SupportMismatchError
+from varidx import quadrature
 from varidx.measures import (
+    InfoMoments,
     entropy,
     entropy_pmf,
     inaccuracy,
+    info_moments,
     inaccuracy_pmf,
     kl,
     kl_pmf,
@@ -482,3 +488,120 @@ class TestDiscreteMeasures:
 
     def test_method_tag(self):
         assert kl_pmf(self.emp, self.binom).method == "summation"
+
+
+FIELDS = ("H", "VarH", "I", "VarI", "K", "VarK", "cov")
+
+rates = st.floats(min_value=0.2, max_value=5.0)
+alphas = st.floats(min_value=0.5, max_value=5.0)
+
+
+def _exp_w2_lognormal(kind, u_scale, u_shape):
+    scale = math.exp(-1.0 + 4.0 * u_scale)
+    if kind == "exp":
+        return Exponential(1.0 / scale)
+    if kind == "w2":
+        shape = 1.0 + 2.0 * u_shape
+        return Weibull2(shape, scale**-shape)
+    return Lognormal(math.log(scale), 0.3 + 0.9 * u_shape)
+
+
+units = st.floats(min_value=0.0, max_value=1.0)
+half_line = st.builds(_exp_w2_lognormal, st.sampled_from(["exp", "w2", "lognormal"]), units, units)
+
+
+class TestInfoMoments:
+    def test_one_quadrature_per_pair(self, monkeypatch):
+        calls = []
+        inner = quadrature._integrate_vector
+
+        def counted(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(quadrature, "_integrate_vector", counted)
+        rec = info_moments(Weibull2(1.6, 0.8), Lognormal(0.0, 0.6))
+        assert isinstance(rec, InfoMoments) and len(calls) == 1
+        assert {getattr(rec, name).method for name in FIELDS} == {"quadrature"}
+        # Closed forms give H and VarH; the rest comes from one quadrature.
+        rec = info_moments(Exponential(1.0), Weibull2(1.6, 0.8))
+        assert len(calls) == 2
+        assert rec.H.method == "closed_form" and rec.K.method == "quadrature"
+        info_moments(Exponential(1.0), Exponential(2.0))
+        info_moments(Power(0.5), Power(3.0))
+        assert len(calls) == 2
+
+    def test_fields_match_single_measures(self):
+        f, g = Weibull2(1.6, 0.8), Lognormal(0.0, 0.6)
+        rec = info_moments(f, g)
+        assert rec.I == inaccuracy(f, g) and rec.VarK == var_kl(f, g)
+        assert rec.cov == log_log_cov(f, g)
+        assert info_moments(f, f).H == entropy(f)
+
+    def test_divergent_pair_keeps_own_entropy(self):
+        rec = info_moments(Exponential(1.0), Power(2.0))
+        assert (rec.H.value, rec.VarH.value) == (1.0, 1.0)
+        assert rec.H.method == "closed_form"
+        for name in ("I", "VarI", "K", "VarK", "cov"):
+            value = getattr(rec, name)
+            assert math.isinf(value.value) and value.method == "divergent"
+        rec = info_moments(Uniform(0.0, 2.0), Power(2.0), method="quadrature")
+        assert abs(rec.H.value - LOG2) <= 1e-9 and rec.H.method == "quadrature"
+        assert rec.K.method == "divergent"
+
+    def test_discrete_divergent_pair(self):
+        p = make_pmf("empirical", [20, 63, 84, 33])
+        q = FinitePMF((0, 1, 2, 3), np.array([0.0, 0.5, 0.3, 0.2]))
+        rec = info_moments(p, q)
+        assert rec.H == entropy_pmf(p) and rec.H.method == "summation"
+        assert rec.K.method == "divergent" and math.isinf(rec.cov.value)
+
+    def test_corner_pair_matches_reference_values(self):
+        # Values of the six separate integrations this record replaced.
+        rec = info_moments(Lognormal(1.28, 1.191), Weibull2(2.68, 0.145))
+        expect = {
+            "H": 2.8737318235776863,
+            "VarH": 1.9184809999998276,
+            "I": 729.0743727035012,
+            "VarI": 14177393443.556719,
+            "K": 726.2006408799238,
+            "VarK": 14177380457.723463,
+        }
+        for name, value in expect.items():
+            assert abs(getattr(rec, name).value - value) <= 1e-9 * abs(value), name
+
+    def test_heavy_tail_emits_no_warning(self):
+        # Tail nodes at t = 1 map to x = inf, which carries no mass.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = varentropy(Lognormal(0.0, 5.0))
+        assert abs(v.value - 25.5) <= 1e-6
+
+    @given(
+        case=st.one_of(
+            st.builds(lambda lam, eta: (Exponential(lam), Exponential(eta)), rates, rates),
+            st.builds(lambda a, b: (Power(a), Power(b)), alphas, alphas),
+            st.builds(lambda b: (Uniform(0.0, 1.0), Power(b)), alphas),
+            st.builds(lambda a: (Power(a), Uniform(0.0, 1.0)), alphas),
+            st.builds(lambda lam: (Exponential(lam), Uniform(0.0, 40.0 / lam)), rates),
+        )
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_closed_record_equals_quadrature_record(self, case):
+        f, g = case
+        closed = info_moments(f, g)
+        quad = info_moments(f, g, method="quadrature")
+        assert closed.VarI.method == "closed_form"
+        for name in FIELDS:
+            c, q = getattr(closed, name).value, getattr(quad, name).value
+            assert abs(c - q) <= 1e-7 * max(1.0, abs(c)), (name, c, q)
+
+    @given(f=half_line, g=half_line)
+    @settings(max_examples=40, deadline=None)
+    def test_identities_hold_to_rounding(self, f, g):
+        r = info_moments(f, g)
+        terms = [abs(v.value) for v in (r.H, r.I, r.K)]
+        assert abs(r.K.value - (r.I.value - r.H.value)) <= 1e-12 * max(1.0, *terms)
+        terms = [abs(v.value) for v in (r.VarH, r.VarI, r.VarK, r.cov)]
+        resid = r.VarK.value - (r.VarH.value + r.VarI.value - 2.0 * r.cov.value)
+        assert abs(resid) <= 1e-12 * max(1.0, *terms)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from varidx.errors import InvalidParameterError, QuadratureConvergenceError
-from varidx.distributions import Exponential, Uniform
+from varidx.distributions import Exponential, Lognormal, Uniform, Weibull2
 from varidx.quadrature import expectation, expectations, integrate
 
 FLOOR = 1e-300
@@ -150,3 +150,18 @@ def test_shared_partition_expectations_agree_with_singles():
     assert abs(joint[1].value - single2.value) <= 1e-9
     # Both components report the same partition size.
     assert joint[0].subdivisions == joint[1].subdivisions
+
+
+def test_refinement_follows_each_rows_own_goal():
+    # Under rel_tol the second row (about 1.4e10) has a goal near 1e-2
+    # while the first needs 1e-9; panels must be picked by the error
+    # relative to each row's goal, not by the raw error sum, or the
+    # large row keeps drawing refinement it no longer needs (586 panels).
+    b = Weibull2(2.68, 0.145).log_pdf
+    m1, m2 = expectations(
+        Lognormal(1.28, 1.191), [b, lambda x: b(x) ** 2], rel_tol=1e-12
+    )
+    assert m1.subdivisions <= 100
+    i, vari = 729.0743727035012, 14177393443.556719
+    assert abs(m1.value + i) <= 1e-9 * i
+    assert abs(m2.value - (vari + i * i)) <= 1e-9 * vari
