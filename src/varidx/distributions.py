@@ -18,9 +18,11 @@ from .errors import (
     InconsistentTransformError,
     InvalidParameterError,
     NotInvertibleError,
+    NotMonotoneError,
     OutOfRangeError,
     UnsupportedSamplerError,
 )
+from .quadrature import half_line
 
 __all__ = [
     "Density",
@@ -51,11 +53,11 @@ def _norm_cdf(z):
     return 0.5 * _erfc(-np.asarray(z, dtype=float) / math.sqrt(2.0))
 
 
-def _scalarized(x, compute):
+def _scalarized(x, compute, *args):
     """Run ``compute`` on a 1-D view of ``x``; mirror scalar inputs back."""
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
-    out = compute(np.atleast_1d(arr))
+    out = compute(np.atleast_1d(arr), *args)
     return float(out[0]) if scalar else out
 
 
@@ -65,6 +67,12 @@ def _scalarized(x, compute):
 
 class Density:
     """An evaluable continuous probability density.
+
+    A family defines two hooks, each evaluated only at points strictly
+    inside the support: ``_log_pdf`` (the log-density) and ``_cdf``,
+    plus an optional ``_quantile`` on (0, 1).  ``log_pdf``, ``pdf`` and
+    ``cdf`` mask the support around them, and ``pdf`` is ``exp`` of the
+    same masked ``_log_pdf`` evaluation, so a law has one density.
 
     Attributes
     ----------
@@ -87,50 +95,39 @@ class Density:
         self.support = (float(support[0]), float(support[1]))
         self.monotonicity = monotonicity
 
-    # Subclasses implement the underscored hooks on in-support points only.
-    def _pdf(self, x):
-        raise NotImplementedError
-
     def _log_pdf(self, x):
-        with np.errstate(divide="ignore"):
-            return np.log(self._pdf(x))
+        raise NotImplementedError
 
     def _cdf(self, x):
         raise NotImplementedError
 
     _quantile: Callable | None = None
 
+    def _on_support(self, x, hook, outside):
+        """``hook`` at the points of ``x`` inside the support, ``outside``
+        elsewhere."""
+        lo, hi = self.support
+        out = np.full(x.shape, outside)
+        m = (x > lo) & (x < hi)
+        if m.any():
+            out[m] = hook(x[m])
+        return out
+
     def pdf(self, x):
         def compute(xv):
-            lo, hi = self.support
-            out = np.zeros(xv.shape)
-            m = (xv > lo) & (xv < hi)
-            if m.any():
-                out[m] = self._pdf(xv[m])
-            return out
+            with np.errstate(under="ignore"):
+                return np.exp(self._on_support(xv, self._log_pdf, -math.inf))
 
         return _scalarized(x, compute)
 
     def log_pdf(self, x):
-        def compute(xv):
-            lo, hi = self.support
-            out = np.full(xv.shape, -math.inf)
-            m = (xv > lo) & (xv < hi)
-            if m.any():
-                out[m] = self._log_pdf(xv[m])
-            return out
-
-        return _scalarized(x, compute)
+        return _scalarized(x, self._on_support, self._log_pdf, -math.inf)
 
     def cdf(self, x):
         def compute(xv):
-            lo, hi = self.support
-            out = np.zeros(xv.shape)
-            out[xv >= hi] = 1.0
-            m = (xv > lo) & (xv < hi)
-            if m.any():
-                out[m] = np.clip(self._cdf(xv[m]), 0.0, 1.0)
-            return out
+            out = self._on_support(xv, self._cdf, 0.0)
+            out[xv >= self.support[1]] = 1.0
+            return np.clip(out, 0.0, 1.0)
 
         return _scalarized(x, compute)
 
@@ -155,13 +152,15 @@ class Density:
         return _scalarized(q, compute)
 
     def pdf_range(self):
-        """(inf, sup) of the pdf over the support.
+        """(inf, sup) of the pdf over the support, exactly.
 
-        Families with known extremes override this; the generic version
-        probes a 1001-point reference grid and is therefore approximate.
+        Families with known extremes override this; any other law raises
+        NotMonotoneError rather than return an estimate.
         """
-        vals = self.pdf(self._reference_grid(1001))
-        return (float(vals.min()), float(vals.max()))
+        raise NotMonotoneError(
+            f"family '{self.family}' (flagged '{self.monotonicity}') has no "
+            "exact pdf range"
+        )
 
     def _reference_grid(self, n: int) -> np.ndarray:
         """Interior points spread over the support for probing/spot checks."""
@@ -173,10 +172,10 @@ class Density:
             return self.quantile(np.linspace(0.005, 0.995, n))
         t = np.linspace(0.01, 0.99, n)
         if math.isfinite(lo):
-            return lo + t / (1.0 - t)
+            return half_line(t, lo)
         if math.isfinite(hi):
-            return hi - t[::-1] / (1.0 - t[::-1])
-        return t / (1.0 - t) - (1.0 - t) / t
+            return -half_line(t[::-1], -hi)
+        return half_line(t) - half_line(1.0 - t)
 
     def same_law(self, other) -> bool:
         """True when both objects denote the identical distribution."""
@@ -204,9 +203,6 @@ class Exponential(Density):
             )
         super().__init__((rate,), (0.0, math.inf), "decreasing")
         self.rate = rate
-
-    def _pdf(self, x):
-        return self.rate * np.exp(-self.rate * x)
 
     def _log_pdf(self, x):
         return math.log(self.rate) - self.rate * x
@@ -241,9 +237,6 @@ class Power(Density):
         super().__init__((alpha,), (0.0, 1.0), mono)
         self.alpha = alpha
 
-    def _pdf(self, x):
-        return self.alpha * x ** (self.alpha - 1.0)
-
     def _log_pdf(self, x):
         return math.log(self.alpha) + (self.alpha - 1.0) * np.log(x)
 
@@ -276,9 +269,6 @@ class Uniform(Density):
             )
         super().__init__((lo, hi), (lo, hi), "neither")
         self._height = 1.0 / (hi - lo)
-
-    def _pdf(self, x):
-        return np.full(x.shape, self._height)
 
     def _log_pdf(self, x):
         return np.full(x.shape, math.log(self._height))
@@ -324,10 +314,6 @@ class Weibull2(Density):
             xa = x**a
         return math.log(lam) + math.log(a) + (a - 1.0) * np.log(x) - lam * xa
 
-    def _pdf(self, x):
-        with np.errstate(under="ignore"):
-            return np.exp(self._log_pdf(x))
-
     def _cdf(self, x):
         with np.errstate(over="ignore"):
             return -np.expm1(-self.rate * x**self.shape)
@@ -366,10 +352,6 @@ class Lognormal(Density):
         logx = np.log(x)
         z = (logx - self.mu) / self.sigma
         return -0.5 * z * z - logx - math.log(self.sigma) - _LOG_SQRT_2PI
-
-    def _pdf(self, x):
-        with np.errstate(under="ignore"):
-            return np.exp(self._log_pdf(x))
 
     def _cdf(self, x):
         return _norm_cdf((np.log(x) - self.mu) / self.sigma)
@@ -443,8 +425,9 @@ class KernelDensity(Density):
             out[i] = acc / n
         return out.reshape(x.shape)
 
-    def _pdf(self, x):
-        return self._mix_pdf(x) / self._mass
+    def _log_pdf(self, x):
+        with np.errstate(divide="ignore"):
+            return np.log(self._mix_pdf(x) / self._mass)
 
     def _cdf(self, x):
         return (self._mix_cdf(x) - self._cdf_lo) / self._mass
@@ -455,51 +438,6 @@ class KernelDensity(Density):
             and self.bandwidth == other.bandwidth
             and self.support == other.support
             and np.array_equal(self.points, other.points)
-        )
-
-
-class LogKernelDensity(Density):
-    """Positive-support kernel estimate: Gaussian KDE of the log data,
-    mapped back through exp.
-
-    This is the natural estimator for lifetime-style data: it cannot
-    leak mass below zero and adapts its local width to the scale of the
-    observations.  ``bandwidth`` is the kernel width on the log scale.
-    """
-
-    family = "kde"
-
-    def __init__(self, points, bandwidth, log_support=None):
-        pts = np.asarray(points, dtype=float).ravel()
-        if np.any(pts <= 0.0):
-            raise InvalidParameterError(
-                "log-domain kde requires strictly positive data"
-            )
-        logs = np.log(pts)
-        if log_support is None:
-            h = float(bandwidth)
-            log_support = (logs.min() - 4.0 * h, logs.max() + 4.0 * h)
-        self._inner = KernelDensity(logs, bandwidth, log_support)
-        lo, hi = math.exp(log_support[0]), math.exp(log_support[1])
-        super().__init__((float(bandwidth),), (lo, hi), "neither")
-        self.points = np.sort(pts)
-        self.points.setflags(write=False)
-        self.bandwidth = float(bandwidth)
-
-    def _pdf(self, x):
-        return self._inner.pdf(np.log(x)) / x
-
-    def _log_pdf(self, x):
-        logx = np.log(x)
-        return self._inner.log_pdf(logx) - logx
-
-    def _cdf(self, x):
-        return self._inner.cdf(np.log(x))
-
-    def same_law(self, other) -> bool:
-        return (
-            isinstance(other, LogKernelDensity)
-            and self._inner.same_law(other._inner)
         )
 
 
@@ -559,10 +497,6 @@ class Pushforward(Density):
         # Guard against roundoff pushing pre-images a hair outside.
         return np.clip(u, np.nextafter(blo, bhi), np.nextafter(bhi, blo))
 
-    def _pdf(self, x):
-        u = self._pull_back(x)
-        return self.base.pdf(u) / np.abs(np.asarray(self.phi_deriv(u), float))
-
     def _log_pdf(self, x):
         u = self._pull_back(x)
         return self.base.log_pdf(u) - np.log(
@@ -575,6 +509,43 @@ class Pushforward(Density):
 
     def same_law(self, other) -> bool:
         return self is other
+
+
+class LogKernelDensity(Pushforward):
+    """Positive-support kernel estimate: the law of exp(Y) for a Gaussian
+    KDE Y of the log data.
+
+    This is the natural estimator for lifetime-style data: it cannot
+    leak mass below zero and adapts its local width to the scale of the
+    observations.  ``bandwidth`` is the kernel width on the log scale.
+    """
+
+    family = "kde"
+
+    def __init__(self, points, bandwidth, log_support=None):
+        pts = np.asarray(points, dtype=float).ravel()
+        if np.any(pts <= 0.0):
+            raise InvalidParameterError(
+                "log-domain kde requires strictly positive data"
+            )
+        logs = np.log(pts)
+        if log_support is None:
+            h = float(bandwidth)
+            log_support = (logs.min() - 4.0 * h, logs.max() + 4.0 * h)
+        inner = KernelDensity(logs, bandwidth, log_support)
+        super().__init__(inner, np.exp, np.log, np.exp)
+        # A general pushforward has no parameters and an unknown shape.
+        self.params = (self.base.bandwidth,)
+        self.monotonicity = "neither"
+        self.points = np.sort(pts)
+        self.points.setflags(write=False)
+        self.bandwidth = self.base.bandwidth
+
+    def same_law(self, other) -> bool:
+        return (
+            isinstance(other, LogKernelDensity)
+            and self.base.same_law(other.base)
+        )
 
 
 def _map_endpoint(phi, endpoint, near_x, near_y):
@@ -646,6 +617,13 @@ def _check_integer(value, name):
     return int(v)
 
 
+def _log_choose(n: int, k) -> np.ndarray:
+    """log C(n, k) for each integer in k, through lgamma."""
+    return np.array(
+        [math.lgamma(n + 1) - math.lgamma(i + 1) - math.lgamma(n - i + 1) for i in k]
+    )
+
+
 def make_pmf(family: str, params) -> FinitePMF:
     """Construct a finite pmf: binomial, beta_binomial, discrete_uniform
     or empirical (counts are normalized by their total)."""
@@ -660,11 +638,7 @@ def make_pmf(family: str, params) -> FinitePMF:
         if not 0.0 < p < 1.0:
             raise InvalidParameterError(f"binomial p must be in (0, 1), got {p}")
         k = np.arange(n + 1)
-        logp = (
-            np.array([math.lgamma(n + 1) - math.lgamma(i + 1) - math.lgamma(n - i + 1) for i in k])
-            + k * math.log(p)
-            + (n - k) * math.log1p(-p)
-        )
+        logp = _log_choose(n, k) + k * math.log(p) + (n - k) * math.log1p(-p)
         probs = np.exp(logp)
         return FinitePMF(tuple(k.tolist()), probs / probs.sum(), "binomial", (n, p))
     if family == "beta_binomial":
@@ -683,15 +657,10 @@ def make_pmf(family: str, params) -> FinitePMF:
         def lbeta(x, y):
             return math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y)
 
-        logp = np.array(
-            [
-                math.lgamma(n + 1)
-                - math.lgamma(i + 1)
-                - math.lgamma(n - i + 1)
-                + lbeta(i + a, n - i + b)
-                - lbeta(a, b)
-                for i in k
-            ]
+        logp = (
+            _log_choose(n, k)
+            + np.array([lbeta(i + a, n - i + b) for i in k])
+            - lbeta(a, b)
         )
         probs = np.exp(logp)
         return FinitePMF(
@@ -826,10 +795,10 @@ def _bisect_pdf_level(d: Density, z: float) -> float:
     decreasing = d.monotonicity == "decreasing"
 
     if math.isinf(hi) or math.isinf(lo):
-        # Bisect in t-space, x = lo + t/(1-t) (finite lo assumed: all
+        # Bisect in t-space on the half-line map (finite lo assumed: all
         # monotone families here live on a half line).
         def x_of(t):
-            return lo + t / (1.0 - t)
+            return half_line(t, lo)
 
         t_lo, t_hi = 1e-300, 1.0 - 1e-16
     else:
@@ -869,8 +838,8 @@ def sample(d: Density, n: int, seed: int) -> SampleData:
     transform (lognormal exponentiates normal draws); a kde uses the
     composition method, picking a kernel with probability proportional
     to its mass inside the support and then inverting that kernel's cdf
-    truncated to the support; a log-domain kde exponentiates a draw from
-    its inner kde; a pushforward maps a draw from its base through phi.
+    truncated to the support; a pushforward (a log-domain kde among
+    them) maps a draw from its base through phi.
     Any other density without a quantile raises UnsupportedSamplerError.
     """
     n = int(n)
@@ -891,8 +860,6 @@ def _draw(d: Density, n: int, rng) -> np.ndarray:
         x = d.quantile(u)
     elif isinstance(d, KernelDensity):
         x = _draw_kde(d, n, rng)
-    elif isinstance(d, LogKernelDensity):
-        x = np.exp(_draw(d._inner, n, rng))
     elif isinstance(d, Pushforward):
         x = np.asarray(d.phi(_draw(d.base, n, rng)), dtype=float)
     else:

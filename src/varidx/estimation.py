@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import KernelDensity, LogKernelDensity, SampleData
+from .distributions import KernelDensity, LogKernelDensity, SampleData, _log_choose
 from .errors import (
     DegenerateDataError,
     InvalidParameterError,
@@ -172,14 +172,8 @@ def fit_binomial_p(counts, n_trials: int) -> FitResult:
     p = float((k * counts).sum()) / (n_trials * total)
     interior = 0.0 < p < 1.0
 
-    logc = np.array(
-        [
-            math.lgamma(n_trials + 1) - math.lgamma(i + 1) - math.lgamma(n_trials - i + 1)
-            for i in k
-        ]
-    )
     with np.errstate(divide="ignore", invalid="ignore"):
-        logp = logc + k * np.log(p) + (n_trials - k) * np.log1p(-p)
+        logp = _log_choose(n_trials, k) + k * np.log(p) + (n_trials - k) * np.log1p(-p)
     mask = counts > 0.0
     loglik = float(np.sum(counts[mask] * logp[mask]))
     return FitResult("binomial", (n_trials, p), loglik, 0, interior)

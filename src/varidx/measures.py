@@ -13,10 +13,13 @@ functions each read one field of it (`entropy(f)` is the record of
   the identities K = I - H and VarK = VarH + VarI - 2 cov wherever
   their inputs are known.
 - ``quadrature``: one adaptive quadrature of the rows
-  [a, a^2, b, b^2, a - b, (a - b)^2] on the common support, with log f
-  and log g evaluated once per node and the pdf taken as exp(a).  It
-  runs only when a field is still missing and fills only those fields;
-  cov = (VarH + VarI - VarK) / 2, so both identities hold to rounding.
+  [a, a^2, b, b^2, a - b, (a - b)^2, 1] on the common support, with
+  log f and log g evaluated once per node and the pdf taken as exp(a).
+  It runs only when a field is still missing and fills only those
+  fields; cov = (VarH + VarI - VarK) / 2, so both identities hold to
+  rounding.  The last row is f's mass: a quadrature that did not see
+  all of it raises QuadratureConvergenceError instead of returning
+  moments of part of f.
 - ``summation``: a pair of FinitePMF values, summed in one pass.
 - ``divergent``: f has mass where g vanishes.  I, VarI, K, VarK and cov
   are +inf rather than an error, since a diverging measure is a
@@ -45,6 +48,7 @@ from .distributions import Density, Exponential, FinitePMF, Power, Uniform
 from .errors import (
     DisjointSupportError,
     InvalidParameterError,
+    QuadratureConvergenceError,
     SupportMismatchError,
 )
 
@@ -70,6 +74,12 @@ __all__ = [
 
 _NEG_CLAMP = 1e-9
 _MASS_TOL = 1e-12
+# f's mass, integrated as a seventh row, may miss 1 by at most this or
+# the row's own error estimate (so a loose tol cannot trip the check).
+# Mass outside the common support is at most _MASS_TOL and the default
+# tol is 1e-9; a larger gap means the nodes missed part of f (a kde
+# narrower than the panels), which skews every moment alike.
+_MASS_CHECK = 1e-6
 # Relative convergence floor for the underlying quadrature: paper-scale
 # values are governed by the absolute tolerance, while extreme parameter
 # ratios (second moments of order 1e8 and beyond) stay computable.
@@ -248,7 +258,7 @@ def _integrated(f: Density, g: Density, lo: float, hi: float, tol: float) -> dic
     same = g is f
 
     def rows(x):
-        out = np.zeros((6, x.size))
+        out = np.zeros((7, x.size))
         a = f.log_pdf(x)
         p = np.exp(a)
         m = p > 0.0
@@ -256,12 +266,21 @@ def _integrated(f: Density, g: Density, lo: float, hi: float, tol: float) -> dic
             a, p = a[m], p[m]
             b = a if same else g.log_pdf(x[m])
             c = a - b
-            out[:, m] = p * np.stack([a, a * a, b, b * b, c, c * c])
+            out[:, m] = p * np.array([a, a * a, b, b * b, c, c * c, np.ones_like(a)])
         return out
 
-    value, error, _ = quadrature._integrate_vector(
+    value, error, panels = quadrature._integrate_vector(
         rows, lo, hi, tol, _REL_TOL, quadrature.MAX_PANELS
     )
+    mass = float(value[6])
+    if not abs(mass - 1.0) <= max(_MASS_CHECK, float(error[6])):
+        raise QuadratureConvergenceError(
+            f"quadrature did not see all of f's mass: it integrated "
+            f"{mass:.6g} on ({lo:g}, {hi:g})",
+            value=value,
+            abs_error_estimate=error,
+            subdivisions=panels,
+        )
     return _from_moments(value, error, "quadrature")
 
 

@@ -13,8 +13,11 @@ this package) are handled by refinement near the endpoint rather than
 by special casing.
 
 Infinite endpoints are removed before refinement starts by the change
-of variable ``x = lo + t / (1 - t)`` (mirrored for a lower endpoint at
-minus infinity), which maps the tail onto ``t in (0, 1)``.
+of variable :func:`half_line`, ``x = lo + t / (1 - t)`` (mirrored for a
+lower endpoint at minus infinity), which maps the tail onto
+``t in (0, 1)``.  It is the package's one half-line map: the density
+probe grid and the pdf-level bisection in :mod:`varidx.distributions`
+use it too.
 
 Several expectations can be computed on one shared panel partition via
 :func:`expectations`; the error control then applies to every component
@@ -41,6 +44,7 @@ __all__ = [
     "integrate",
     "expectation",
     "expectations",
+    "half_line",
 ]
 
 DEFAULT_TOL = 1e-9
@@ -200,6 +204,15 @@ def _collect(heap, frozen, ncomp):
     return value, error
 
 
+def half_line(t, lo: float = 0.0):
+    """Map t in (0, 1) onto (lo, inf) by x = lo + t / (1 - t).
+
+    dx/dt = 1 / (1 - t)^2.  t = 1 maps to inf without a warning.
+    """
+    with np.errstate(divide="ignore"):
+        return lo + t / (1.0 - t)
+
+
 def _segments(h, lo: float, hi: float):
     """Rewrite an integral over (lo, hi) as finite-interval segments."""
     lo_inf = math.isinf(lo)
@@ -211,24 +224,18 @@ def _segments(h, lo: float, hi: float):
     if hi_inf:
 
         def upper(t, _h=h, _lo=lo):
-            w = 1.0 - t
-            with np.errstate(divide="ignore"):
-                x = _lo + t / w
-            return _tail_scale(_h(x), w)
+            return _tail_scale(_h(half_line(t, _lo)), t)
 
         return [(upper, 0.0, 1.0)]
 
     def lower(t, _h=h, _hi=hi):
-        w = 1.0 - t
-        with np.errstate(divide="ignore"):
-            x = _hi - t / w
-        return _tail_scale(_h(x), w)
+        return _tail_scale(_h(-half_line(t, -_hi)), t)
 
     return [(lower, 0.0, 1.0)]
 
 
-def _tail_scale(values, w):
-    """Apply the 1/(1-t)^2 Jacobian; exact zeros stay zero.
+def _tail_scale(values, t):
+    """Apply the half-line Jacobian 1/(1-t)^2; exact zeros stay zero.
 
     Keeps an underflowed-to-zero tail from producing 0 * inf when the
     Jacobian itself overflows extremely close to t = 1.
@@ -237,6 +244,7 @@ def _tail_scale(values, w):
     out = np.zeros_like(values)
     mask = values != 0.0
     if np.any(mask):
+        w = 1.0 - t
         jac = np.broadcast_to(w * w, values.shape)
         out[mask] = values[mask] / jac[mask]
     return out

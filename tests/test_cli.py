@@ -365,6 +365,18 @@ class TestFitCommand:
         cand = {c["label"]: c for c in payload["candidates"]}["uniform:0.0,50.0"]
         assert cand["K"] == "inf" and cand["VarK"] == "inf"
 
+    @pytest.mark.parametrize("bandwidth,mass", [("1e-3", "0.9"), ("1e-6", "0")])
+    def test_kde_narrower_than_panels_is_an_error(self, capsys, bandwidth, mass):
+        # Kernels narrower than the quadrature panels were missed, giving a
+        # confident K of 3.24 (about 3.58 is right) or K = VarK = 0.
+        code, out, err = run(
+            capsys, "fit", "--data", "murthy41", "--candidates", "w2", "lognormal",
+            "--bandwidth", bandwidth,
+        )
+        assert code == 3
+        assert out == ""
+        assert f"did not see all of f's mass: it integrated {mass} on" in err
+
     def test_missing_file_exit_code(self, capsys):
         code, _, _ = run(
             capsys, "fit", "--data", "/nonexistent/file.txt", "--candidates", "w2"

@@ -28,6 +28,7 @@ from varidx.errors import (
     InconsistentTransformError,
     InvalidParameterError,
     NotInvertibleError,
+    NotMonotoneError,
     OutOfRangeError,
     UnsupportedSamplerError,
 )
@@ -44,6 +45,16 @@ ALL_PARAMETRIC = [
     Weibull2(0.7, 1.2),
     Lognormal(0.0, 0.5),
     Lognormal(3.5559, 0.2192),
+]
+
+# Laws without closed-form extremes: a kde on a truncated support, a
+# log-kde and a pushforward with an unbounded pdf.
+NONPARAMETRIC = [
+    KernelDensity([0.0, 0.5, 1.0, 3.0], 0.5, (0.25, 2.0)),
+    LogKernelDensity([0.5, 1.0, 2.0, 4.0, 30.0], 0.4),
+    push_forward(
+        Uniform(0.0, 1.0), lambda x: x * x, lambda y: np.sqrt(y), lambda x: 2.0 * x
+    ),
 ]
 
 
@@ -106,12 +117,12 @@ class TestConstruction:
 
 
 class TestEvaluation:
-    @pytest.mark.parametrize("d", ALL_PARAMETRIC, ids=lambda d: repr(d))
+    @pytest.mark.parametrize("d", ALL_PARAMETRIC + NONPARAMETRIC, ids=lambda d: repr(d))
     def test_normalization(self, d):
         r = integrate(lambda x: d.pdf(x), d.support, tol=1e-9)
         assert abs(r.value - 1.0) <= 1e-6
 
-    @pytest.mark.parametrize("d", ALL_PARAMETRIC, ids=lambda d: repr(d))
+    @pytest.mark.parametrize("d", ALL_PARAMETRIC + NONPARAMETRIC, ids=lambda d: repr(d))
     def test_log_pdf_matches_log_of_pdf(self, d):
         x = d._reference_grid(400)
         p = d.pdf(x)
@@ -159,6 +170,11 @@ class TestInversePdf:
             z = min(max(z, lo_r * (1 + 1e-12) + 1e-300), hi_eff)
             x = inverse_pdf(d, z)
             assert abs(d.pdf(x) - z) <= 1e-10 * z
+
+    @pytest.mark.parametrize("d", NONPARAMETRIC, ids=lambda d: repr(d))
+    def test_pdf_range_without_closed_form_rejected(self, d):
+        with pytest.raises(NotMonotoneError, match=d.family):
+            d.pdf_range()
 
     def test_non_monotone_rejected(self):
         with pytest.raises(NotInvertibleError):
@@ -336,8 +352,8 @@ class TestSampling:
             def __init__(self):
                 super().__init__((), (0.0, 1.0), "increasing")
 
-            def _pdf(self, x):
-                return 2.0 * x
+            def _log_pdf(self, x):
+                return np.log(2.0 * x)
 
         with pytest.raises(UnsupportedSamplerError, match="triangle"):
             sample(Triangle(), 10, 1)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from varidx.distributions import (
     Exponential,
     FinitePMF,
+    KernelDensity,
     Lognormal,
     Power,
     Uniform,
@@ -19,7 +20,11 @@ from varidx.distributions import (
     push_forward,
     sample,
 )
-from varidx.errors import DisjointSupportError, SupportMismatchError
+from varidx.errors import (
+    DisjointSupportError,
+    QuadratureConvergenceError,
+    SupportMismatchError,
+)
 from varidx import quadrature
 from varidx.measures import (
     InfoMoments,
@@ -569,6 +574,15 @@ class TestInfoMoments:
         }
         for name, value in expect.items():
             assert abs(getattr(rec, name).value - value) <= 1e-9 * abs(value), name
+
+    def test_missed_mass_is_an_error(self):
+        # Kernels far narrower than a panel fall between the rule's nodes.
+        narrow = KernelDensity([1.0, 2.3, 4.1], 1e-6, (0.0, 5.0))
+        with pytest.raises(QuadratureConvergenceError, match="mass: it integrated 0 on"):
+            info_moments(narrow, Weibull2(1.6, 0.8))
+        # A loose tol leaves the mass within the row's own error estimate.
+        loose = info_moments(Power(0.3), Weibull2(0.5, 1.0), method="quadrature", tol=0.1)
+        assert abs(loose.H.value - entropy(Power(0.3)).value) <= 0.1
 
     def test_heavy_tail_emits_no_warning(self):
         # Tail nodes at t = 1 map to x = inf, which carries no mass.
