@@ -7,24 +7,29 @@ cov = cov_f(a, b).  :func:`info_moments` computes all seven as one
 :class:`InfoMoments` record, and is the only place that integrates,
 sums or looks up a closed form; `entropy`, `kl` and the other measure
 functions each read one field of it (`entropy(f)` is the record of
-(f, f)).  Each field carries its evaluation route:
+(f, f)).  Given several g for one reference f (the candidates of a
+selection), it returns one record per g from at most one quadrature.
+Each field carries its evaluation route:
 
 - ``closed_form``: a known (family, family) cell.  K and VarK follow by
   the identities K = I - H and VarK = VarH + VarI - 2 cov wherever
   their inputs are known.
-- ``quadrature``: one adaptive quadrature of the rows
-  [a, a^2, b, b^2, a - b, (a - b)^2, 1] on the common support, with
-  log f and log g evaluated once per node and the pdf taken as exp(a).
-  It runs only when a field is still missing and fills only those
-  fields; cov = (VarH + VarI - VarK) / 2, so both identities hold to
-  rounding.  The last row is f's mass: a quadrature that did not see
-  all of it raises QuadratureConvergenceError instead of returning
-  moments of part of f.
+- ``quadrature``: one adaptive quadrature per reference f, of the rows
+  [1, a, a^2] and, for each g that still lacks a field,
+  [b, b^2, a - b, (a - b)^2], on the support common to f and those g.
+  log f and each log g are evaluated once per node, the pdf is taken as
+  exp(a), and every row converges against its own goal.  The quadrature
+  runs only when a field is still missing and fills only those fields;
+  cov = (VarH + VarI - VarK) / 2, so both identities hold to rounding.
+  The first row is f's mass: a quadrature that did not see all of it
+  raises QuadratureConvergenceError instead of returning moments of
+  part of f.
 - ``summation``: a pair of FinitePMF values, summed in one pass.
-- ``divergent``: f has mass where g vanishes.  I, VarI, K, VarK and cov
-  are +inf rather than an error, since a diverging measure is a
-  legitimate answer that the selection layer treats as disqualifying;
-  H and VarH stay f's own.
+- ``divergent``: f has mass where g vanishes, which is screened before
+  integrating, so such a g adds no rows.  I, VarI, K, VarK and cov are
+  +inf rather than an error, since a diverging measure is a legitimate
+  answer that the selection layer treats as disqualifying; H and VarH
+  stay f's own.
 
 `method="quadrature"` skips the closed forms so both routes stay
 testable.
@@ -84,9 +89,9 @@ _MASS_CHECK = 1e-6
 # values are governed by the absolute tolerance, while extreme parameter
 # ratios (second moments of order 1e8 and beyond) stay computable.
 _REL_TOL = 1e-12
-# The fields that the closed forms or one quadrature supply; cov is
-# derived from them when no closed form gives it.
-_MOMENTS = ("H", "VarH", "I", "VarI", "K", "VarK")
+# The fields of a pair beyond f's own H and VarH that the closed forms
+# or the quadrature supply; cov is derived when no closed form gives it.
+_PAIR = frozenset(("I", "VarI", "K", "VarK"))
 
 
 @dataclass(frozen=True)
@@ -182,40 +187,51 @@ def _check_pair(P: FinitePMF, Q: FinitePMF):
 
 def info_moments(
     f, g, method: str = "auto", tol: float = quadrature.DEFAULT_TOL
-) -> InfoMoments:
+) -> InfoMoments | list[InfoMoments]:
     """All measures of the pair (f, g) as one :class:`InfoMoments` record.
 
     f and g are both :class:`~varidx.distributions.Density` values or
-    both :class:`~varidx.distributions.FinitePMF` values.  Continuous
-    pairs take closed forms where known (unless `method="quadrature"`)
-    and at most one quadrature for the rest; discrete pairs are summed.
-    A pair where f has mass outside g's support gets f's own H and VarH
-    and +inf for every other field.
+    both :class:`~varidx.distributions.FinitePMF` values; g may also be a
+    list or tuple of laws, which gives a list of records in its order.
+    Continuous pairs take closed forms where known (unless
+    `method="quadrature"`) and share at most one quadrature for the
+    rest, whatever the number of g; discrete pairs are summed.  A pair
+    where f has mass outside g's support gets f's own H and VarH and
+    +inf for every other field.
     """
     _check_method(method)
+    many = isinstance(g, (list, tuple))
+    gs = list(g) if many else [g]
     if isinstance(f, FinitePMF):
-        _check_pair(f, g)
-        divergent = bool(np.any((f.probs > 0.0) & (g.probs == 0.0)))
+        route, own = "summation", {}
+        plans, value, error = _summed(f, gs)
     else:
-        lo, hi = _common_support(f, g)
-        divergent = _divergent(f, lo, hi)
-    if divergent:
-        own = info_moments(f, f, method, tol)
-        return InfoMoments(own.H, own.VarH, *[_DIVERGENT] * 5)
-    if isinstance(f, FinitePMF):
-        fields = _summed(f, g)
-    else:
-        fields = _closed_fields(f, g) if method == "auto" else {}
-        if not fields.keys() >= set(_MOMENTS):
-            fields = {**_integrated(f, g, lo, hi, tol), **fields}
-    if "cov" not in fields:
-        vh, vi, vk = fields["VarH"], fields["VarI"], fields["VarK"]
-        fields["cov"] = MeasureValue(
-            0.5 * (vh.value + vi.value - vk.value),
-            vi.method,
-            0.5 * (vh.abs_error_estimate + vi.abs_error_estimate + vk.abs_error_estimate),
-        )
-    return InfoMoments(**fields)
+        route = "quadrature"
+        own = _closed_fields(f, f) if method == "auto" else {}
+        own = {name: own[name] for name in ("H", "VarH") if name in own}
+        plans, value, error = _integrated(f, gs, own, method, tol)
+    if value is not None:
+        own = {**_from_moments(value[1:3], error[1:3], route), **own}
+    records = []
+    for plan in plans:
+        if plan is None:
+            records.append(InfoMoments(own["H"], own["VarH"], *[_DIVERGENT] * 5))
+            continue
+        known, row = plan
+        fields = {}
+        if row is not None:
+            rows = np.r_[1:3, row : row + 4]
+            fields = _from_moments(value[rows], error[rows], route)
+        fields = {**fields, **own, **known}
+        if "cov" not in fields:
+            vh, vi, vk = fields["VarH"], fields["VarI"], fields["VarK"]
+            fields["cov"] = MeasureValue(
+                0.5 * (vh.value + vi.value - vk.value),
+                vi.method,
+                0.5 * (vh.abs_error_estimate + vi.abs_error_estimate + vk.abs_error_estimate),
+            )
+        records.append(InfoMoments(**fields))
+    return records if many else records[0]
 
 
 def _closed_fields(f: Density, g: Density) -> dict:
@@ -253,27 +269,55 @@ def _closed_fields(f: Density, g: Density) -> dict:
     return {name: MeasureValue(float(v), "closed_form", 0.0) for name, v in known.items()}
 
 
-def _integrated(f: Density, g: Density, lo: float, hi: float, tol: float) -> dict:
-    """H, VarH, I, VarI, K and VarK from one quadrature on (lo, hi)."""
-    same = g is f
+def _integrated(f: Density, gs: list, own: dict, method: str, tol: float):
+    """A plan per g and the integrals of all rows with their errors.
+
+    A plan is None when f diverges from g, else g's closed-form fields
+    and the index of its first row (None when it needs no rows).  The
+    rows are p * [1, a, a^2], p = f's pdf and a = log p, and
+    p * [b, b^2, c, c^2] for each g that still lacks a field, b = log g
+    and c = a - b, integrated by one quadrature on the support common to
+    f and those g.  ``own`` holds f's closed-form H and VarH; with both
+    of them and no rows to add, nothing is integrated (None, None).
+    """
+    lo, hi = f.support
+    plans = []
+    row_gs = []
+    for g in gs:
+        glo, ghi = _common_support(f, g)
+        if _divergent(f, glo, ghi):
+            plans.append(None)
+            continue
+        known = _closed_fields(f, g) if method == "auto" else {}
+        row = None
+        if not known.keys() >= _PAIR:
+            row = 3 + 4 * len(row_gs)
+            row_gs.append(g)
+            lo, hi = max(lo, glo), min(hi, ghi)
+        plans.append((known, row))
+    if len(own) == 2 and not row_gs:
+        return plans, None, None
 
     def rows(x):
-        out = np.zeros((7, x.size))
+        out = np.zeros((3 + 4 * len(row_gs), x.size))
         a = f.log_pdf(x)
         p = np.exp(a)
         m = p > 0.0
         if np.any(m):
-            a, p = a[m], p[m]
-            b = a if same else g.log_pdf(x[m])
-            c = a - b
-            out[:, m] = p * np.array([a, a * a, b, b * b, c, c * c, np.ones_like(a)])
+            a, p, xm = a[m], p[m], x[m]
+            block = [np.ones_like(a), a, a * a]
+            for g in row_gs:
+                b = a if g is f else g.log_pdf(xm)
+                c = a - b
+                block += [b, b * b, c, c * c]
+            out[:, m] = p * np.array(block)
         return out
 
     value, error, panels = quadrature._integrate_vector(
         rows, lo, hi, tol, _REL_TOL, quadrature.MAX_PANELS
     )
-    mass = float(value[6])
-    if not abs(mass - 1.0) <= max(_MASS_CHECK, float(error[6])):
+    mass = float(value[0])
+    if not abs(mass - 1.0) <= max(_MASS_CHECK, float(error[0])):
         raise QuadratureConvergenceError(
             f"quadrature did not see all of f's mass: it integrated "
             f"{mass:.6g} on ({lo:g}, {hi:g})",
@@ -281,24 +325,38 @@ def _integrated(f: Density, g: Density, lo: float, hi: float, tol: float) -> dic
             abs_error_estimate=error,
             subdivisions=panels,
         )
-    return _from_moments(value, error, "quadrature")
+    return plans, value, error
 
 
-def _summed(P: FinitePMF, Q: FinitePMF) -> dict:
-    """H, VarH, I, VarI, K and VarK of a pair without divergence."""
+def _summed(P: FinitePMF, Qs: list):
+    """Plans, sums and (zero) errors as :func:`_integrated` returns them,
+    by direct summation over P's labels."""
+    for Q in Qs:
+        _check_pair(P, Q)
     m = P.probs > 0.0
     w = P.probs[m]
     a = np.log(w)
-    b = np.log(Q.probs[m])
-    c = a - b
-    value = np.array([np.sum(w * z) for z in (a, a * a, b, b * b, c, c * c)])
-    return _from_moments(value, np.zeros(6), "summation")
+    rows = [np.ones_like(a), a, a * a]
+    plans = []
+    for Q in Qs:
+        q = Q.probs[m]
+        if np.any(q == 0.0):
+            plans.append(None)
+            continue
+        plans.append(({}, len(rows)))
+        b = np.log(q)
+        c = a - b
+        rows += [b, b * b, c, c * c]
+    value = np.array([np.sum(w * z) for z in rows])
+    return plans, value, np.zeros(value.size)
 
 
 def _from_moments(value, error, route: str) -> dict:
-    """Fields from E[a], E[a^2], E[b], E[b^2], E[c], E[c^2] with c = a - b."""
+    """Fields from E[a], E[a^2] and, if given, E[b], E[b^2], E[c], E[c^2]
+    with c = a - b."""
     fields = {}
-    for i, (mean, var) in enumerate((("H", "VarH"), ("I", "VarI"), ("K", "VarK"))):
+    pairs = (("H", "VarH"), ("I", "VarI"), ("K", "VarK"))[: len(value) // 2]
+    for i, (mean, var) in enumerate(pairs):
         m1, m2 = float(value[2 * i]), float(value[2 * i + 1])
         e1, e2 = float(error[2 * i]), float(error[2 * i + 1])
         fields[mean] = MeasureValue(_clamp(m1) if mean == "K" else -m1, route, e1)

@@ -11,6 +11,11 @@ r = 2 * min(K) so the pairwise rule becomes
 after relabeling so K_1 <= K_2.  Multi-candidate ranking canonicalizes
 by ascending K and runs a sequential champion tournament, logging every
 pairwise decision; the rule itself is pairwise only.
+
+All candidates of one `rank` are evaluated by a single
+:func:`~varidx.measures.info_moments` call, so they share one
+quadrature against a continuous f: a KDE reference is evaluated once
+per node, not once per candidate.
 """
 
 from __future__ import annotations
@@ -81,19 +86,29 @@ class SelectionReport:
     disqualified: list[tuple[Candidate, str]] = field(default_factory=list)
 
 
+def _evaluate(candidates, f, tol: float) -> list[Candidate]:
+    """Attach K and VarK against the reference f to (label, law) pairs.
+
+    All candidates share one :func:`~varidx.measures.info_moments` call,
+    so a continuous f takes at most one quadrature for all of them.
+    """
+    discrete = isinstance(f, FinitePMF)
+    for label, dist in candidates:
+        if not isinstance(dist, FinitePMF if discrete else Density):
+            kinds = ("continuous", "discrete")[:: 1 if discrete else -1]
+            raise InvalidParameterError(
+                f"candidate '{label}' is {kinds[0]} but the reference is {kinds[1]}"
+            )
+    records = info_moments(f, [dist for _, dist in candidates], tol=tol)
+    return [
+        Candidate(label, dist, record.K, record.VarK)
+        for (label, dist), record in zip(candidates, records)
+    ]
+
+
 def evaluate_candidate(label: str, dist, f, tol: float = quadrature.DEFAULT_TOL) -> Candidate:
     """Attach K and VarK against the reference f to a candidate law."""
-    if isinstance(f, FinitePMF):
-        if not isinstance(dist, FinitePMF):
-            raise InvalidParameterError(
-                f"candidate '{label}' is continuous but the reference is discrete"
-            )
-    elif not isinstance(dist, Density):
-        raise InvalidParameterError(
-            f"candidate '{label}' is discrete but the reference is continuous"
-        )
-    record = info_moments(f, dist, tol=tol)
-    return Candidate(label, dist, record.K, record.VarK)
+    return _evaluate([(label, dist)], f, tol)[0]
 
 
 def _exact_match_decision(c1: Candidate, c2: Candidate, r: float):
@@ -192,14 +207,15 @@ def rank(f, candidates, tol: float = quadrature.DEFAULT_TOL) -> SelectionReport:
     automatic rule; the report lists the champion first, the remaining
     candidates in canonical ascending-K order, and every decision taken.
     """
+    candidates = list(candidates)
     seen = set()
-    evaluated: list[Candidate] = []
-    disqualified: list[tuple[Candidate, str]] = []
-    for label, dist in candidates:
+    for label, _ in candidates:
         if label in seen:
             raise InvalidParameterError(f"duplicate candidate label '{label}'")
         seen.add(label)
-        cand = evaluate_candidate(label, dist, f, tol=tol)
+    evaluated: list[Candidate] = []
+    disqualified: list[tuple[Candidate, str]] = []
+    for cand in _evaluate(candidates, f, tol):
         if math.isinf(cand.K.value):
             disqualified.append((cand, "infinite divergence"))
         elif math.isinf(cand.VarK.value):

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from varidx.distributions import (
     Density,
@@ -236,6 +238,27 @@ class TestPushForward:
                 lambda x: np.full(np.shape(x), 2.0),
             )
 
+    def test_curved_exact_derivative_accepted(self):
+        # exp over the 0.79-wide steps of the check grid: a secant against
+        # the mean of the end slopes is off by about step^2 / 12 = 5 %.
+        d = push_forward(Uniform(0.0, 80.0), np.exp, np.log, np.exp)
+        assert d.support == (1.0, math.exp(80.0))
+        r = integrate(d.pdf, d.support)
+        assert abs(r.value - 1.0) <= 1e-9
+
+    def test_log_kde_with_wide_steps_accepted(self):
+        # Data spanning 700 on the log scale gives 7.2-wide check steps.
+        d = LogKernelDensity([1.0, 2.0, 1e307], 0.5)
+        lo, hi = d.support
+        # One kernel near 1e307 and two near 1, integrated apart: a single
+        # panel set over (0.14, 7e307) would step over the small ones.
+        mass = sum(integrate(d.pdf, iv).value for iv in ((lo, 100.0), (100.0, hi)))
+        assert abs(mass - 1.0) <= 1e-9
+
+    def test_wrong_derivative_rejected(self):
+        with pytest.raises(InconsistentTransformError, match="phi_deriv disagrees"):
+            push_forward(Uniform(0.0, 80.0), np.exp, np.log, lambda x: 2.0 * np.exp(x))
+
     def test_non_monotone_map_rejected(self):
         # x^2 is not monotone on (-1, 1); its "inverse" cannot round-trip
         # the negative half, so either guard may fire first.
@@ -246,6 +269,64 @@ class TestPushForward:
                 lambda y: np.sqrt(np.abs(y)),
                 lambda x: 2.0 * x,
             )
+
+
+# A unit kernel 9 bandwidths out: the weight of any kernel the windowed
+# mixture sums leave out.
+PHI9 = math.exp(-40.5) / math.sqrt(2.0 * math.pi)
+_erfc = np.vectorize(math.erfc, otypes=[float])
+
+
+def _full_mixture(points, h, x):
+    """pdf and cdf of the Gaussian mixture, summed over all n kernels."""
+    z = (x[:, None] - points[None, :]) / h
+    pdf = np.exp(-0.5 * z * z).sum(axis=1) / (points.size * h * math.sqrt(2.0 * math.pi))
+    cdf = (0.5 * _erfc(-z / math.sqrt(2.0))).sum(axis=1) / points.size
+    return pdf, cdf
+
+
+@st.composite
+def clustered_mixtures(draw):
+    """Centres in 1-4 clusters 10h wide, 20h-70h apart, and query points
+    in the clusters, in the gaps between them, at the window edges and at
+    the support ends."""
+    n = draw(st.integers(min_value=2, max_value=3000))
+    h = draw(st.floats(min_value=1e-3, max_value=1.0))
+    k = draw(st.integers(min_value=1, max_value=4))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    centres = np.cumsum(rng.uniform(30.0 * h, 80.0 * h, k))
+    points = np.sort(centres[rng.integers(k, size=n)] + rng.uniform(-5.0 * h, 5.0 * h, n))
+    lo, hi = points[0] - 4.0 * h, points[-1] + 4.0 * h
+    x = np.concatenate(
+        [
+            rng.choice(points, 20) + rng.normal(0.0, h, 20),
+            0.5 * (centres[1:] + centres[:-1]),
+            [points[0] - 9.0 * h, points[-1] + 9.0 * h, points[0] + 9.0 * h],
+            [lo, hi, np.nextafter(lo, hi), np.nextafter(hi, lo)],
+            rng.uniform(lo, hi, 10),
+        ]
+    )
+    return KernelDensity(points, h, (lo, hi)), rng.permutation(x)
+
+
+class TestWindowedMixture:
+    @given(case=clustered_mixtures())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_full_sum(self, case):
+        # Rounding (1e-12 relative) plus the kernels left out, which sum
+        # to less than one kernel 9 bandwidths out.  On values far above
+        # that, such as all of the mixture's bulk, the error is relative.
+        kd, x = case
+        h = kd.bandwidth
+        ref_pdf, ref_cdf = _full_mixture(kd.points, h, x)
+        for got, ref, far in (
+            (kd._mix_pdf(x), ref_pdf, PHI9 / h),
+            (kd._mix_cdf(x), ref_cdf, PHI9),
+        ):
+            err = np.abs(got - ref)
+            assert np.all(err <= 1e-12 * ref + far)
+            bulk = ref >= 1e-4 * ref.max()
+            assert np.all(err[bulk] <= 1e-12 * ref[bulk])
 
 
 class TestSampling:

@@ -8,13 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from varidx.distributions import FinitePMF, Weibull2, make_pmf
+from varidx import datasets, quadrature
+from varidx.distributions import FinitePMF, Lognormal, SampleData, Uniform, Weibull2, make_pmf
+from varidx.estimation import fit_lognormal_mle, fit_weibull_mle, kde
 from varidx.errors import (
     InvalidParameterError,
     NoValidCandidatesError,
     ThresholdViolationError,
 )
-from varidx.measures import MeasureValue
+from varidx.measures import MeasureValue, info_moments
 from varidx.selection import (
     Candidate,
     evaluate_candidate,
@@ -221,3 +223,42 @@ class TestRank:
     def test_mixed_kinds_rejected(self):
         with pytest.raises(InvalidParameterError):
             rank(self.emp, [("w", Weibull2(1.5, 0.1))])
+
+
+class TestSharedQuadrature:
+    def setup_method(self):
+        data = SampleData(datasets.load("murthy41"))
+        self.f = kde(data)
+        fit = fit_weibull_mle(data)
+        self.candidates = [
+            ("w2", Weibull2(*fit.params)),
+            ("lognormal", Lognormal(*fit_lognormal_mle(data).params)),
+            ("u", Uniform(0.0, 50.0)),
+        ]
+
+    def test_one_quadrature_for_all_candidates(self, monkeypatch):
+        calls = []
+        inner = quadrature._integrate_vector
+
+        def counted(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(quadrature, "_integrate_vector", counted)
+        report = rank(self.f, self.candidates)
+        assert len(calls) == 1
+        assert [(c.label, reason) for c, reason in report.disqualified] == [
+            ("u", "infinite divergence")
+        ]
+        # A divergent candidate alone costs only f's own rows.
+        evaluate_candidate("u", Uniform(0.0, 50.0), self.f)
+        assert len(calls) == 2 and calls[1][0](np.array([3.0])).shape == (3, 1)
+
+    def test_shared_record_matches_each_pair(self):
+        report = rank(self.f, self.candidates)
+        for cand in report.ranking:
+            own = info_moments(self.f, cand.dist)
+            for name in ("K", "VarK"):
+                shared, alone = getattr(cand, name), getattr(own, name)
+                bound = shared.abs_error_estimate + alone.abs_error_estimate
+                assert abs(shared.value - alone.value) <= bound, (cand.label, name)
