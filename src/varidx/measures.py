@@ -11,9 +11,19 @@ functions each read one field of it (`entropy(f)` is the record of
 selection), it returns one record per g from at most one quadrature.
 Each field carries its evaluation route:
 
-- ``closed_form``: a known (family, family) cell.  K and VarK follow by
-  the identities K = I - H and VarK = VarH + VarI - 2 cov wherever
-  their inputs are known.
+- ``closed_form``: one table of sufficient statistics.  Under an
+  exponential, Weibull2, lognormal, power or Uniform(0, c) f, log X is
+  alpha + beta v for a standard variable v (log of an Exp(1) or a
+  Uniform(0, 1) draw, or a N(0, 1) draw), and the log-density of each
+  of these laws, and of any uniform, is linear in the statistics
+  v^n e^{tv}, whose moments under f are derivatives of Gamma (through
+  a stdlib digamma), tilted normal moments, or those of an exponential.
+  Each field is then the mean or variance of one linear form: H and
+  VarH of log f's, I and VarI of log g's, K and VarK of their
+  difference, and cov = (VarH + VarI - VarK) / 2, so both identities
+  hold to rounding and no parametric pair integrates anything.  Any
+  other uniform f has H and VarH alone; moments that overflow raise
+  OutOfRangeError.
 - ``quadrature``: one adaptive quadrature per reference f, of the rows
   [1, a, a^2] and, for each g that still lacks a field,
   [b, b^2, a - b, (a - b)^2], on the support common to f and those g.
@@ -49,10 +59,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quadrature
-from .distributions import Density, Exponential, FinitePMF, Power, Uniform
+from .distributions import (
+    _LOG_SQRT_2PI,
+    Density,
+    Exponential,
+    FinitePMF,
+    Lognormal,
+    Power,
+    Uniform,
+    Weibull2,
+)
 from .errors import (
     DisjointSupportError,
     InvalidParameterError,
+    OutOfRangeError,
     QuadratureConvergenceError,
     SupportMismatchError,
 )
@@ -138,24 +158,6 @@ def _check_method(method: str):
         raise InvalidParameterError(f"method must be auto|quadrature, got {method!r}")
 
 
-def _flat_level(d: Density):
-    """Constant pdf height when d is uniform on its support, else None."""
-    if isinstance(d, Uniform):
-        return d._height
-    if isinstance(d, Power) and d.alpha == 1.0:
-        return 1.0
-    return None
-
-
-def _power_exponent(d: Density):
-    """a when d is Power(a); Uniform(0, 1) is the flat case a = 1."""
-    if isinstance(d, Power):
-        return d.alpha
-    if isinstance(d, Uniform) and d.support == (0.0, 1.0):
-        return 1.0
-    return None
-
-
 def _common_support(f: Density, g: Density):
     lo = max(f.support[0], g.support[0])
     hi = min(f.support[1], g.support[1])
@@ -207,9 +209,8 @@ def info_moments(
         plans, value, error = _summed(f, gs)
     else:
         route = "quadrature"
-        own = _closed_fields(f, f) if method == "auto" else {}
-        own = {name: own[name] for name in ("H", "VarH") if name in own}
-        plans, value, error = _integrated(f, gs, own, method, tol)
+        own, closed = _closed_form(f) if method == "auto" else ({}, None)
+        plans, value, error = _integrated(f, gs, own, closed, tol)
     if value is not None:
         own = {**_from_moments(value[1:3], error[1:3], route), **own}
     records = []
@@ -234,42 +235,173 @@ def info_moments(
     return records if many else records[0]
 
 
-def _closed_fields(f: Density, g: Density) -> dict:
-    """The fields of (f, g) that a closed form gives."""
-    known = {}
-    a = _power_exponent(f)
-    if isinstance(f, Exponential):
-        known.update(H=1.0 - math.log(f.rate), VarH=1.0)
-    elif (level := _flat_level(f)) is not None:
-        known.update(H=-math.log(level), VarH=0.0)
-    elif a is not None:
-        known.update(H=-math.log(a) + (a - 1.0) / a, VarH=((a - 1.0) / a) ** 2)
+# ----------------------------------------------------------------------
+# Closed forms: one table of sufficient statistics
+# ----------------------------------------------------------------------
 
-    if (level := _flat_level(g)) is not None:
-        known.update(I=-math.log(level), VarI=0.0, cov=0.0)
-    elif isinstance(f, Exponential) and isinstance(g, Exponential):
-        # log f = log lam - lam x, log g = log eta - eta x, Var X = 1/lam^2.
-        r = g.rate / f.rate
-        known.update(I=-math.log(g.rate) + r, VarI=r * r, cov=r)
-    elif a is not None and isinstance(g, Power):
-        # -log X ~ Exp(a): log f and log g are affine in log X.
-        b = g.alpha
-        known.update(
-            I=-math.log(b) + (b - 1.0) / a,
-            VarI=((b - 1.0) / a) ** 2,
-            cov=(a - 1.0) * (b - 1.0) / (a * a),
-        )
-
-    if f.same_law(g):
-        known.update(K=0.0, VarK=0.0)
-    if "K" not in known and {"I", "H"} <= known.keys():
-        known["K"] = _clamp(known["I"] - known["H"])
-    if "VarK" not in known and {"VarH", "VarI", "cov"} <= known.keys():
-        known["VarK"] = _clamp(known["VarH"] + known["VarI"] - 2.0 * known["cov"])
-    return {name: MeasureValue(float(v), "closed_form", 0.0) for name, v in known.items()}
+# Raw moments 0-4 of v = log Y, Y ~ Exp(1), from its cumulants
+# psi(1) = -gamma, psi'(1) = pi^2/6, psi''(1) = -2 zeta(3), psi'''(1) = pi^4/15.
+_K1, _K2, _K3, _K4 = -0.5772156649015329, math.pi**2 / 6.0, -2.4041138063191885, math.pi**4 / 15.0
+_LOG_EXP_RAW = (
+    1.0,
+    _K1,
+    _K2 + _K1 * _K1,
+    _K3 + 3.0 * _K2 * _K1 + _K1**3,
+    _K4 + 4.0 * _K3 * _K1 + 3.0 * _K2 * _K2 + 6.0 * _K2 * _K1 * _K1 + _K1**4,
+)
 
 
-def _integrated(f: Density, gs: list, own: dict, method: str, tol: float):
+def _psi(x: float):
+    """Digamma and trigamma at x > 0: the recurrence up to x >= 12, then
+    their asymptotic series, whose coefficients are the Bernoulli numbers
+    B2 ... B12 (over 2k for digamma), to 1/x^12 and 1/x^13."""
+    d = t = 0.0
+    while x < 12.0:
+        d -= 1.0 / x
+        t += 1.0 / (x * x)
+        x += 1.0
+    r = 1.0 / (x * x)
+    b = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730)
+    series_d = series_t = 0.0
+    for k in range(6, 0, -1):
+        series_d = r * (b[k - 1] / (2 * k) + series_d)
+        series_t = r * (b[k - 1] + series_t)
+    return d + math.log(x) - 0.5 / x - series_d, t + (1.0 + 0.5 / x + series_t) / x
+
+
+def _log_exp_moment(t: float, n: int) -> float:
+    """E[v^n Y^t] for v = log Y, Y ~ Exp(1): Gamma's n-th derivative at 1 + t."""
+    if t == 0.0:
+        return _LOG_EXP_RAW[n]
+    gamma = math.gamma(1.0 + t)
+    if n == 0:
+        return gamma
+    d, d1 = _psi(1.0 + t)
+    return gamma * (d if n == 1 else d * d + d1)
+
+
+def _log_uniform_moment(t: float, n: int) -> float:
+    """E[v^n U^t] for v = log U, U ~ Uniform(0, 1), so that -v ~ Exp(1)."""
+    return (1.0, -1.0, 2.0, -6.0, 24.0)[n] / (1.0 + t) ** (n + 1)
+
+
+def _normal_moment(t: float, n: int) -> float:
+    """E[v^n e^{tv}] for v ~ N(0, 1)."""
+    s = t * t
+    return math.exp(0.5 * s) * (1.0, t, 1.0 + s, t * (s + 3.0), (s + 6.0) * s + 3.0)[n]
+
+
+def _log_law(f: Density):
+    """log X under f as alpha + beta v, for a standard variable v.
+
+    Returns (alpha, beta, xpow, moment): x^s = e^{tv} / unit with
+    (t, unit) = xpow(s), and moment(t, n) = E[v^n e^{tv}] for n <= 4 at
+    t = 0 and n <= 2 at t > 0.  None when f has no table entry.
+    """
+    if isinstance(f, (Exponential, Weibull2)):
+        # Y = rate X^k ~ Exp(1); the exponential is shape 1.
+        k, lam = getattr(f, "shape", 1.0), f.rate
+        return -math.log(lam) / k, 1.0 / k, lambda s: (s / k, lam ** (s / k)), _log_exp_moment
+    if isinstance(f, Lognormal):
+        mu, sigma = f.mu, f.sigma
+        return mu, sigma, lambda s: (s * sigma, math.exp(-s * mu)), _normal_moment
+    if isinstance(f, Power):
+        # X^a ~ Uniform(0, 1).
+        a = f.alpha
+        return 0.0, 1.0 / a, lambda s: (s / a, 1.0), _log_uniform_moment
+    if isinstance(f, Uniform) and f.support[0] == 0.0:
+        c = f.support[1]
+        return math.log(c), 1.0, lambda s: (s, c**-s), _log_uniform_moment
+    return None
+
+
+def _coefficients(d: Density, law):
+    """log d as (c, {(t, n): w}), i.e. c + sum of w v^n e^{tv} in the
+    variable v of ``law``; None when d has no such form.  A uniform d is
+    flat whatever the law."""
+    if isinstance(d, Uniform):
+        return math.log(d._height), {}
+    if law is None:
+        return None
+    alpha, beta, xpow, _ = law
+    if isinstance(d, (Exponential, Weibull2)):
+        k = getattr(d, "shape", 1.0)
+        t, unit = xpow(k)
+        w = {(t, 0): -d.rate / unit}
+        if k != 1.0:
+            w[0.0, 1] = (k - 1.0) * beta
+        return math.log(d.rate) + math.log(k) + (k - 1.0) * alpha, w
+    if isinstance(d, Power):
+        a = d.alpha
+        return math.log(a) + (a - 1.0) * alpha, {(0.0, 1): (a - 1.0) * beta} if a != 1.0 else {}
+    if isinstance(d, Lognormal):
+        e, b = (alpha - d.mu) / d.sigma, beta / d.sigma
+        c = -0.5 * e * e - alpha - math.log(d.sigma) - _LOG_SQRT_2PI
+        return c, {(0.0, 1): -e * b - beta, (0.0, 2): -0.5 * b * b}
+    return None
+
+
+def _closed_form(f: Density):
+    """f's closed-form H and VarH, and the function g -> closed-form
+    fields of (f, g) (see the module docstring); a flat g has cov = 0.
+    The moments of f's statistics are computed once per f."""
+    law = _log_law(f)
+    memo = {}
+
+    def moment(t, n):
+        value = memo.get((t, n))
+        if value is None:
+            value = memo[t, n] = law[3](t, n)
+        return value
+
+    def stats(c):
+        """Mean and variance of the form c under f."""
+        terms = [(w, t, n, moment(t, n)) for (t, n), w in c[1].items()]
+        mean, var = c[0], 0.0
+        for w, t, n, e in terms:
+            mean += w * e
+            for x, u, m, y in terms:
+                var += w * x * (moment(t + u, n + m) - e * y)
+        return mean, _clamp(var)
+
+    def fields(g=None):
+        """The closed-form fields of (f, g); f's own H and VarH without g.
+
+        Every field of a table pair is finite, so one that is not has
+        overflowed: OutOfRangeError rather than an inf or a nan.
+        """
+        try:
+            if g is None:
+                h, vh = stats(cf)
+                known = {"H": -h, "VarH": vh}
+            elif (cg := _coefficients(g, law)) is None:
+                known = {}
+            else:
+                i, vi = stats(cg)
+                known = {"I": -i, "VarI": vi}
+                if not cg[1]:
+                    known["cov"] = 0.0
+                if cf is not None:
+                    w = dict(cf[1])
+                    for b, x in cg[1].items():
+                        w[b] = w.get(b, 0.0) - x
+                    k, vk = stats((cf[0] - cg[0], w))
+                    known.update(K=_clamp(k), VarK=vk)
+                    known.setdefault("cov", 0.5 * (own["VarH"].value + vi - vk))
+        except (OverflowError, ZeroDivisionError):
+            known = None
+        if known is None or not all(map(math.isfinite, known.values())):
+            raise OutOfRangeError(
+                f"the moments of {f if g is None else g!r} under {f!r} overflow a float"
+            )
+        return {name: MeasureValue(v, "closed_form", 0.0) for name, v in known.items()}
+
+    cf = _coefficients(f, law)
+    own = {} if cf is None else fields()
+    return own, fields
+
+
+def _integrated(f: Density, gs: list, own: dict, closed, tol: float):
     """A plan per g and the integrals of all rows with their errors.
 
     A plan is None when f diverges from g, else g's closed-form fields
@@ -288,7 +420,7 @@ def _integrated(f: Density, gs: list, own: dict, method: str, tol: float):
         if _divergent(f, glo, ghi):
             plans.append(None)
             continue
-        known = _closed_fields(f, g) if method == "auto" else {}
+        known = closed(g) if closed else {}
         row = None
         if not known.keys() >= _PAIR:
             row = 3 + 4 * len(row_gs)

@@ -153,6 +153,21 @@ class TestMeasuresCommand:
             assert records[name]["method"] == "closed_form"
             assert math.isfinite(records[name]["value"])
 
+    def test_lognormal_weibull_tail_pair_is_closed_form(self, capsys):
+        # The quadrature's half-line map needs over 32768 panels here.
+        code, out, _ = run(
+            capsys, "measures", "--f", "lognormal:0,5", "--g", "w2:0.5,1", "--json"
+        )
+        assert code == 0
+        records = {r["measure"]: r for r in strict_loads(out)["measures"]}
+        assert {r["method"] for r in records.values()} == {"closed_form"}
+        assert abs(records["K"]["value"] - 20.42466583) <= 1e-7 * 20.42466583
+
+    def test_overflowing_moments_exit_code(self, capsys):
+        code, out, err = run(capsys, "measures", "--f", "w2:0.01,1", "--g", "exp:1")
+        assert code == 3 and out == ""
+        assert "overflow" in err
+
     def test_text_output_has_method_tags(self, capsys):
         code, out, _ = run(capsys, "measures", "--f", "exp:1", "--g", "exp:2")
         assert code == 0

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from varidx.distributions import (
@@ -22,11 +22,13 @@ from varidx.distributions import (
 )
 from varidx.errors import (
     DisjointSupportError,
+    OutOfRangeError,
     QuadratureConvergenceError,
     SupportMismatchError,
 )
 from varidx import quadrature
 from varidx.measures import (
+    _psi,
     InfoMoments,
     entropy,
     entropy_pmf,
@@ -525,15 +527,24 @@ class TestInfoMoments:
             return inner(*args)
 
         monkeypatch.setattr(quadrature, "_integrate_vector", counted)
-        rec = info_moments(Weibull2(1.6, 0.8), Lognormal(0.0, 0.6))
+        # A law with no table entry: every field from one quadrature.
+        law = push_forward(Weibull2(1.6, 0.8), np.sqrt, np.square, lambda x: 0.5 / np.sqrt(x))
+        rec = info_moments(law, Lognormal(0.0, 0.6))
         assert isinstance(rec, InfoMoments) and len(calls) == 1
         assert {getattr(rec, name).method for name in FIELDS} == {"quadrature"}
-        # Closed forms give H and VarH; the rest comes from one quadrature.
-        rec = info_moments(Exponential(1.0), Weibull2(1.6, 0.8))
+        # The table gives H and VarH; the rest comes from one quadrature.
+        rec = info_moments(Exponential(1.0), law)
         assert len(calls) == 2
         assert rec.H.method == "closed_form" and rec.K.method == "quadrature"
-        info_moments(Exponential(1.0), Exponential(2.0))
-        info_moments(Power(0.5), Power(3.0))
+        # Parametric pairs integrate nothing.
+        for f, g in [
+            (Weibull2(1.6, 0.8), Lognormal(0.0, 0.6)),
+            (Exponential(1.0), Weibull2(1.6, 0.8)),
+            (Exponential(1.0), Exponential(2.0)),
+            (Power(0.5), Power(3.0)),
+        ]:
+            rec = info_moments(f, g)
+            assert {getattr(rec, name).method for name in FIELDS} == {"closed_form"}
         assert len(calls) == 2
 
     def test_fields_match_single_measures(self):
@@ -611,6 +622,7 @@ class TestInfoMoments:
             assert abs(c - q) <= 1e-7 * max(1.0, abs(c)), (name, c, q)
 
     @given(f=half_line, g=half_line)
+    @example(f=Exponential(2.718281828459045), g=Weibull2(1.0000001192092896, 2.71828215250351))
     @settings(max_examples=40, deadline=None)
     def test_identities_hold_to_rounding(self, f, g):
         r = info_moments(f, g)
@@ -619,3 +631,55 @@ class TestInfoMoments:
         terms = [abs(v.value) for v in (r.VarH, r.VarI, r.VarK, r.cov)]
         resid = r.VarK.value - (r.VarH.value + r.VarI.value - 2.0 * r.cov.value)
         assert abs(resid) <= 1e-12 * max(1.0, *terms)
+
+
+class TestTable:
+    """The closed-form table against the quadrature and exact identities."""
+
+    @given(
+        case=st.one_of(
+            st.tuples(half_line, half_line),
+            st.tuples(st.builds(Power, alphas), st.one_of(half_line, st.builds(Power, alphas))),
+        )
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_quadrature_matches_table(self, case):
+        f, g = case
+        table = info_moments(f, g)
+        quad = info_moments(f, g, method="quadrature")
+        # The quadrature's goal is 1e-9, absolute below 1 (its default tol):
+        # its error estimate can understate a near-exponential Weibull's
+        # error, and a field near 0, such as K of nearly equal laws, is
+        # known to both routes only to rounding at the size of H and I.
+        for name in FIELDS:
+            t, q = getattr(table, name), getattr(quad, name)
+            allow = max(q.abs_error_estimate, 1e-9 * max(1.0, abs(q.value)))
+            assert t.method == "closed_form"
+            assert abs(t.value - q.value) <= allow, (name, t.value, q.value, allow)
+
+    def test_digamma_identities(self):
+        euler = 0.5772156649015329
+
+        def close(a, b, scale=None):
+            return abs(a - b) <= 1e-14 * (scale or abs(b))
+
+        assert close(_psi(1.0)[0], -euler)
+        assert close(_psi(0.5)[0], -euler - 2.0 * LOG2)
+        for x in (0.1, 0.7, 2.5, 7.9, 11.5, 12.0, 30.0, 1e3):
+            d, d1 = _psi(x)
+            up, up1 = _psi(x + 1.0)
+            assert close(up, d + 1.0 / x, max(abs(up), abs(d), 1.0 / x))
+            assert close(up1, d1 - 1.0 / (x * x), d1)
+        harmonic = 0.0
+        for n in range(1, 40):
+            assert close(_psi(float(n))[0], harmonic - euler, max(harmonic, euler))
+            harmonic += 1.0 / n
+        assert close(_psi(1.0)[1], math.pi**2 / 6.0)
+
+    def test_overflowing_moments_are_an_error(self):
+        # E[X^2] = Gamma(201) for this Weibull: past the largest float.
+        with pytest.raises(OutOfRangeError, match="overflow"):
+            info_moments(Weibull2(0.01, 1.0), Exponential(1.0))
+        # Finite moments past 1e195 stay numbers.
+        rec = info_moments(Lognormal(0.0, 5.0), Weibull2(3.0, 1.0))
+        assert all(math.isfinite(getattr(rec, name).value) for name in FIELDS)
