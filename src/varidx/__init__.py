@@ -54,7 +54,7 @@ from .measures import (
     varinaccuracy,
     varinaccuracy_pmf,
 )
-from .quadrature import IntegralResult, expectation, expectations, integrate
+from .quadrature import IntegralResult, expectations, integrate
 from .selection import (
     Candidate,
     PairwiseDecision,
@@ -92,7 +92,6 @@ __all__ = [
     "entropy_pmf",
     "evaluate_candidate",
     "exp_pair_bound",
-    "expectation",
     "expectations",
     "fit_binomial_p",
     "fit_lognormal_mle",

@@ -7,7 +7,9 @@ The generic bound evaluates, for a free margin eps > 0,
 with I the inaccuracy of (f, g), by inverting the strictly monotone pdf
 g and reading the probabilities off f's cdf/survival function.  A
 threshold that falls outside the attainable pdf range contributes its
-limit value (0 or 1) instead of erroring.  Two families admit piecewise
+limit value (0 or 1) instead of erroring, also when it overflows a
+float, which puts it above any finite sup g; if g's pdf is unbounded,
+such a threshold raises OutOfRangeError.  Two families admit piecewise
 closed forms (exponential pair, uniform against an increasing power
 density); both are cross-validated against the generic route in tests.
 """
@@ -18,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .distributions import Density, inverse_pdf
-from .errors import InvalidParameterError, NotMonotoneError
+from .errors import InvalidParameterError, NotMonotoneError, OutOfRangeError, finite_positive
 from .measures import inaccuracy
 
 __all__ = [
@@ -39,16 +41,9 @@ class BoundResult:
     method: str  # closed_form | generic
 
 
-def _check_eps(eps: float) -> float:
-    eps = float(eps)
-    if not (math.isfinite(eps) and eps > 0.0):
-        raise InvalidParameterError(f"eps must be finite and > 0, got {eps}")
-    return eps
-
-
 def chebyshev_bound(f: Density, g: Density, eps: float) -> BoundResult:
     """Generic lower bound on varinaccuracy(f, g) for monotone g."""
-    eps = _check_eps(eps)
+    eps = finite_positive("eps", eps)
     if g.monotonicity not in ("increasing", "decreasing"):
         raise NotMonotoneError(
             f"the bound needs a strictly monotone pdf for g; "
@@ -60,8 +55,19 @@ def chebyshev_bound(f: Density, g: Density, eps: float) -> BoundResult:
             "inaccuracy of (f, g) is infinite; the bound is undefined"
         )
     lo_r, hi_r = g.pdf_range()
-    z_lo = math.exp(-eps - i_val.value)
-    z_hi = math.exp(eps - i_val.value)
+
+    def level(log_z: float) -> float:
+        try:
+            return math.exp(log_z)
+        except OverflowError:
+            if math.isinf(hi_r):
+                raise OutOfRangeError(
+                    f"pdf level e^{log_z:g} overflows a float and g's pdf is unbounded"
+                ) from None
+            return math.inf
+
+    z_lo = level(-eps - i_val.value)
+    z_hi = level(eps - i_val.value)
     decreasing = g.monotonicity == "decreasing"
 
     def prob_le(z: float) -> float:
@@ -96,12 +102,8 @@ def exp_pair_bound(lam: float, eta: float, eps: float) -> BoundResult:
     while eps*lam <= eta; beyond that the upper probability vanishes and
     only eps^2 e^{-1-eps lam/eta} survives.
     """
-    eps = _check_eps(eps)
-    lam, eta = float(lam), float(eta)
-    if not (math.isfinite(lam) and lam > 0.0):
-        raise InvalidParameterError(f"lam must be finite and > 0, got {lam}")
-    if not (math.isfinite(eta) and eta > 0.0):
-        raise InvalidParameterError(f"eta must be finite and > 0, got {eta}")
+    eps = finite_positive("eps", eps)
+    lam, eta = finite_positive("lam", lam), finite_positive("eta", eta)
     ratio = eps * lam / eta
     low_term = math.exp(-1.0 - ratio)
     if eps * lam > eta:
@@ -117,7 +119,7 @@ def uniform_power_bound(alpha: float, eps: float) -> BoundResult:
     e^{(1+eps-alpha)/(alpha-1)}) for alpha >= 1 + eps; closer to the
     uniform case only the lower-tail term survives.
     """
-    eps = _check_eps(eps)
+    eps = finite_positive("eps", eps)
     alpha = float(alpha)
     if not (math.isfinite(alpha) and alpha > 1.0):
         raise InvalidParameterError(

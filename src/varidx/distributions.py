@@ -21,6 +21,7 @@ from .errors import (
     NotMonotoneError,
     OutOfRangeError,
     UnsupportedSamplerError,
+    finite_positive,
 )
 from .quadrature import _NODES, _WGK, half_line
 
@@ -183,14 +184,6 @@ class Density:
             return -half_line(t[::-1], -hi)
         return half_line(t) - half_line(1.0 - t)
 
-    def same_law(self, other) -> bool:
-        """True when both objects denote the identical distribution."""
-        return (
-            type(self) is type(other)
-            and self.params == other.params
-            and self.support == other.support
-        )
-
     def __repr__(self):
         inner = ", ".join(f"{p:g}" for p in self.params)
         return f"{type(self).__name__}({inner})"
@@ -202,11 +195,7 @@ class Exponential(Density):
     family = "exponential"
 
     def __init__(self, rate):
-        rate = float(rate)
-        if not (math.isfinite(rate) and rate > 0.0):
-            raise InvalidParameterError(
-                f"exponential rate must be finite and > 0, got {rate}"
-            )
+        rate = finite_positive("exponential rate", rate)
         super().__init__((rate,), (0.0, math.inf), "decreasing")
         self.rate = rate
 
@@ -229,11 +218,7 @@ class Power(Density):
     family = "power"
 
     def __init__(self, alpha):
-        alpha = float(alpha)
-        if not (math.isfinite(alpha) and alpha > 0.0):
-            raise InvalidParameterError(
-                f"power exponent must be finite and > 0, got {alpha}"
-            )
+        alpha = finite_positive("power exponent", alpha)
         if alpha > 1.0:
             mono = "increasing"
         elif alpha < 1.0:
@@ -267,14 +252,10 @@ class Uniform(Density):
 
     def __init__(self, lo, hi):
         lo, hi = float(lo), float(hi)
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise InvalidParameterError("uniform endpoints must be finite")
-        if not lo < hi:
-            raise InvalidParameterError(
-                f"uniform requires lo < hi, got ({lo}, {hi})"
-            )
+        # Also rejects lo >= hi, and finite endpoints whose gap overflows.
+        width = finite_positive("uniform width hi - lo", hi - lo)
         super().__init__((lo, hi), (lo, hi), "neither")
-        self._height = 1.0 / (hi - lo)
+        self._height = 1.0 / width
 
     def _log_pdf(self, x):
         return np.full(x.shape, math.log(self._height))
@@ -300,15 +281,8 @@ class Weibull2(Density):
     family = "weibull2"
 
     def __init__(self, shape, rate):
-        shape, rate = float(shape), float(rate)
-        if not (math.isfinite(shape) and shape > 0.0):
-            raise InvalidParameterError(
-                f"weibull2 shape must be finite and > 0, got {shape}"
-            )
-        if not (math.isfinite(rate) and rate > 0.0):
-            raise InvalidParameterError(
-                f"weibull2 rate must be finite and > 0, got {rate}"
-            )
+        shape = finite_positive("weibull2 shape", shape)
+        rate = finite_positive("weibull2 rate", rate)
         mono = "decreasing" if shape <= 1.0 else "neither"
         super().__init__((shape, rate), (0.0, math.inf), mono)
         self.shape = shape
@@ -343,13 +317,10 @@ class Lognormal(Density):
     family = "lognormal"
 
     def __init__(self, mu, sigma):
-        mu, sigma = float(mu), float(sigma)
+        mu = float(mu)
         if not math.isfinite(mu):
             raise InvalidParameterError(f"lognormal mu must be finite, got {mu}")
-        if not (math.isfinite(sigma) and sigma > 0.0):
-            raise InvalidParameterError(
-                f"lognormal sigma must be finite and > 0, got {sigma}"
-            )
+        sigma = finite_positive("lognormal sigma", sigma)
         super().__init__((mu, sigma), (0.0, math.inf), "neither")
         self.mu = mu
         self.sigma = sigma
@@ -388,11 +359,7 @@ class KernelDensity(Density):
         pts = np.sort(np.asarray(points, dtype=float).ravel())
         if pts.size < 2:
             raise InvalidParameterError("kde needs at least two data points")
-        bandwidth = float(bandwidth)
-        if not (math.isfinite(bandwidth) and bandwidth > 0.0):
-            raise InvalidParameterError(
-                f"kde bandwidth must be finite and > 0, got {bandwidth}"
-            )
+        bandwidth = finite_positive("kde bandwidth", bandwidth)
         lo, hi = float(support[0]), float(support[1])
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise InvalidParameterError("kde support must be a finite interval")
@@ -468,14 +435,6 @@ class KernelDensity(Density):
     def _cdf(self, x):
         return (self._mix_cdf(x) - self._cdf_lo) / self._mass
 
-    def same_law(self, other) -> bool:
-        return (
-            isinstance(other, KernelDensity)
-            and self.bandwidth == other.bandwidth
-            and self.support == other.support
-            and np.array_equal(self.points, other.points)
-        )
-
 
 class Pushforward(Density):
     """Law of phi(X) for a strictly monotone differentiable map phi."""
@@ -548,9 +507,6 @@ class Pushforward(Density):
         u = self._pull_back(x)
         return self.base.cdf(u) if self.increasing else self.base.survival(u)
 
-    def same_law(self, other) -> bool:
-        return self is other
-
 
 class LogKernelDensity(Pushforward):
     """Positive-support kernel estimate: the law of exp(Y) for a Gaussian
@@ -563,17 +519,15 @@ class LogKernelDensity(Pushforward):
 
     family = "kde"
 
-    def __init__(self, points, bandwidth, log_support=None):
+    def __init__(self, points, bandwidth):
         pts = np.asarray(points, dtype=float).ravel()
         if np.any(pts <= 0.0):
             raise InvalidParameterError(
                 "log-domain kde requires strictly positive data"
             )
         logs = np.log(pts)
-        if log_support is None:
-            h = float(bandwidth)
-            log_support = (logs.min() - 4.0 * h, logs.max() + 4.0 * h)
-        inner = KernelDensity(logs, bandwidth, log_support)
+        h = float(bandwidth)
+        inner = KernelDensity(logs, h, (logs.min() - 4.0 * h, logs.max() + 4.0 * h))
         super().__init__(inner, np.exp, np.log, np.exp)
         # A general pushforward has no parameters and an unknown shape.
         self.params = (self.base.bandwidth,)
@@ -581,12 +535,6 @@ class LogKernelDensity(Pushforward):
         self.points = np.sort(pts)
         self.points.setflags(write=False)
         self.bandwidth = self.base.bandwidth
-
-    def same_law(self, other) -> bool:
-        return (
-            isinstance(other, LogKernelDensity)
-            and self.base.same_law(other.base)
-        )
 
 
 def _map_endpoint(phi, endpoint, near_x, near_y):
@@ -640,13 +588,6 @@ class FinitePMF:
         self.family = family
         self.params = tuple(float(p) for p in params)
 
-    def same_law(self, other) -> bool:
-        return (
-            isinstance(other, FinitePMF)
-            and self.labels == other.labels
-            and np.array_equal(self.probs, other.probs)
-        )
-
     def __repr__(self):
         return f"FinitePMF({self.family}, n={len(self.labels)})"
 
@@ -698,11 +639,16 @@ def make_pmf(family: str, params) -> FinitePMF:
         def lbeta(x, y):
             return math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y)
 
-        logp = (
-            _log_choose(n, k)
-            + np.array([lbeta(i + a, n - i + b) for i in k])
-            - lbeta(a, b)
-        )
+        try:
+            logp = (
+                _log_choose(n, k)
+                + np.array([lbeta(i + a, n - i + b) for i in k])
+                - lbeta(a, b)
+            )
+        except OverflowError:
+            raise OutOfRangeError(
+                f"beta_binomial alpha and beta ({a}, {b}) overflow lgamma"
+            ) from None
         probs = np.exp(logp)
         return FinitePMF(
             tuple(k.tolist()), probs / probs.sum(), "beta_binomial", (n, a, b)

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one parameter check."""
+
+import math
 
 
 class Error(Exception):
@@ -7,6 +9,14 @@ class Error(Exception):
 
 class InvalidParameterError(Error, ValueError):
     """A distribution or operation parameter violates its constraint."""
+
+
+def finite_positive(name: str, value) -> float:
+    """``value`` as a float, or InvalidParameterError unless finite and > 0."""
+    value = float(value)
+    if not (math.isfinite(value) and value > 0.0):
+        raise InvalidParameterError(f"{name} must be finite and > 0, got {value}")
+    return value
 
 
 class NotInvertibleError(Error):

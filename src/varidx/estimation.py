@@ -26,6 +26,9 @@ from .errors import (
     NonPositiveDataError,
 )
 
+# Newton/bisection steps allowed for the Weibull shape equation.
+_MAX_ITER = 100
+
 __all__ = [
     "FitResult",
     "fit_weibull_mle",
@@ -56,7 +59,7 @@ def _positive_values(data: SampleData) -> np.ndarray:
     return x
 
 
-def fit_weibull_mle(data: SampleData, max_iter: int = 100) -> FitResult:
+def fit_weibull_mle(data: SampleData) -> FitResult:
     """Fit the shape-rate Weibull by maximum likelihood."""
     x = _positive_values(data)
     if data.variance == 0.0:
@@ -101,7 +104,7 @@ def fit_weibull_mle(data: SampleData, max_iter: int = 100) -> FitResult:
     a = min(max(a, lo), hi)
     iterations = 0
     converged = False
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _MAX_ITER + 1):
         h, hp, m, sw = profile(a)
         if abs(h) < 1e-13:
             converged = True
@@ -121,7 +124,7 @@ def fit_weibull_mle(data: SampleData, max_iter: int = 100) -> FitResult:
         a = a_new
     if not converged:
         raise NoConvergenceError(
-            f"Weibull shape equation did not converge in {max_iter} iterations"
+            f"Weibull shape equation did not converge in {_MAX_ITER} iterations"
         )
 
     _, _, m, sw = profile(a)
@@ -224,20 +227,9 @@ def kde(data: SampleData, bandwidth: float | None = None):
     x = data.values
     if np.all(x > 0.0):
         if bandwidth is None:
-            h = _robust_normal_reference(np.log(x))
-        else:
-            h = float(bandwidth)
-            if not (math.isfinite(h) and h > 0.0):
-                raise InvalidParameterError(
-                    f"bandwidth must be finite and > 0, got {h}"
-                )
-        return LogKernelDensity(x, h)
-    if bandwidth is None:
-        h = silverman_bandwidth(data)
-    else:
-        h = float(bandwidth)
-        if not (math.isfinite(h) and h > 0.0):
-            raise InvalidParameterError(f"bandwidth must be finite and > 0, got {h}")
+            bandwidth = _robust_normal_reference(np.log(x))
+        return LogKernelDensity(x, bandwidth)
+    h = silverman_bandwidth(data) if bandwidth is None else float(bandwidth)
     lo = float(x.min()) - 4.0 * h
     hi = float(x.max()) + 4.0 * h
     return KernelDensity(x, h, (lo, hi))

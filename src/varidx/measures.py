@@ -125,10 +125,6 @@ class MeasureValue:
     def __float__(self):
         return self.value
 
-    @property
-    def is_infinite(self) -> bool:
-        return math.isinf(self.value)
-
 
 @dataclass(frozen=True)
 class InfoMoments:
@@ -193,8 +189,9 @@ def info_moments(
     """All measures of the pair (f, g) as one :class:`InfoMoments` record.
 
     f and g are both :class:`~varidx.distributions.Density` values or
-    both :class:`~varidx.distributions.FinitePMF` values; g may also be a
-    list or tuple of laws, which gives a list of records in its order.
+    both :class:`~varidx.distributions.FinitePMF` values (any other mix
+    raises InvalidParameterError); g may also be a list or tuple of laws,
+    which gives a list of records in its order.
     Continuous pairs take closed forms where known (unless
     `method="quadrature"`) and share at most one quadrature for the
     rest, whatever the number of g; discrete pairs are summed.  A pair
@@ -204,7 +201,13 @@ def info_moments(
     _check_method(method)
     many = isinstance(g, (list, tuple))
     gs = list(g) if many else [g]
-    if isinstance(f, FinitePMF):
+    kind = FinitePMF if isinstance(f, FinitePMF) else Density
+    for d in [f, *gs]:
+        if not isinstance(d, kind):
+            raise InvalidParameterError(
+                f"f and g must both be Density or both FinitePMF values, got {f!r} and {d!r}"
+            )
+    if kind is FinitePMF:
         route, own = "summation", {}
         plans, value, error = _summed(f, gs)
     else:

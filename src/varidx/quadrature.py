@@ -19,11 +19,12 @@ lower endpoint at minus infinity), which maps the tail onto
 probe grid and the pdf-level bisection in :mod:`varidx.distributions`
 use it too.
 
-Several expectations can be computed on one shared panel partition via
-:func:`expectations`; the error control then applies to every component
-simultaneously, so derived quantities such as variances see consistent
-discretization on both moments.  :mod:`varidx.measures` calls the same
-vector loop with its own rows.
+:mod:`varidx.measures` drives the vector loop with its own rows: the
+package's measures integrate nothing else.  :func:`expectations` runs
+the same loop for E[w_i(X)] under one density, every w_i on one shared
+partition, so that the error control applies to all of them at once.
+Nothing in the package calls it; it stays public because
+``bench/tracing.py`` counts panels by wrapping this name.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ __all__ = [
     "DEFAULT_TOL",
     "MAX_PANELS",
     "integrate",
-    "expectation",
     "expectations",
     "half_line",
 ]
@@ -319,20 +319,17 @@ def expectations(
     density,
     ws: Sequence[Callable[[np.ndarray], np.ndarray]],
     tol: float = DEFAULT_TOL,
-    interval: tuple[float, float] | None = None,
     max_panels: int = MAX_PANELS,
     rel_tol: float = 0.0,
 ) -> list[IntegralResult]:
-    """Expectations ``E[w_i(X)]`` under ``density``, on one shared partition.
+    """Expectations ``E[w_i(X)]`` under ``density``, on one shared partition
+    of its support.
 
     Regions where the pdf vanishes contribute zero by convention, which
     matches treating the integrand as an expectation: the weight
     functions are only ever evaluated where there is mass.
     """
-    if interval is None:
-        lo, hi = density.support
-    else:
-        lo, hi = interval
+    lo, hi = density.support
     nw = len(ws)
 
     def h(x):
@@ -350,15 +347,3 @@ def expectations(
         h, float(lo), float(hi), tol, rel_tol, max_panels
     )
     return [IntegralResult(float(v), float(e), n) for v, e in zip(value, error)]
-
-
-def expectation(
-    density,
-    w: Callable[[np.ndarray], np.ndarray],
-    tol: float = DEFAULT_TOL,
-    interval: tuple[float, float] | None = None,
-    max_panels: int = MAX_PANELS,
-    rel_tol: float = 0.0,
-) -> IntegralResult:
-    """Expectation ``E[w(X)]`` under ``density`` (integral of pdf * w)."""
-    return expectations(density, [w], tol, interval, max_panels, rel_tol)[0]

@@ -23,12 +23,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from . import quadrature
-from .distributions import Density, FinitePMF
 from .errors import (
     InvalidParameterError,
     NoValidCandidatesError,
     ThresholdViolationError,
+    finite_positive,
 )
 from .measures import MeasureValue, info_moments
 
@@ -86,29 +85,22 @@ class SelectionReport:
     disqualified: list[tuple[Candidate, str]] = field(default_factory=list)
 
 
-def _evaluate(candidates, f, tol: float) -> list[Candidate]:
+def _evaluate(candidates, f) -> list[Candidate]:
     """Attach K and VarK against the reference f to (label, law) pairs.
 
     All candidates share one :func:`~varidx.measures.info_moments` call,
     so a continuous f takes at most one quadrature for all of them.
     """
-    discrete = isinstance(f, FinitePMF)
-    for label, dist in candidates:
-        if not isinstance(dist, FinitePMF if discrete else Density):
-            kinds = ("continuous", "discrete")[:: 1 if discrete else -1]
-            raise InvalidParameterError(
-                f"candidate '{label}' is {kinds[0]} but the reference is {kinds[1]}"
-            )
-    records = info_moments(f, [dist for _, dist in candidates], tol=tol)
+    records = info_moments(f, [dist for _, dist in candidates])
     return [
         Candidate(label, dist, record.K, record.VarK)
         for (label, dist), record in zip(candidates, records)
     ]
 
 
-def evaluate_candidate(label: str, dist, f, tol: float = quadrature.DEFAULT_TOL) -> Candidate:
+def evaluate_candidate(label: str, dist, f) -> Candidate:
     """Attach K and VarK against the reference f to a candidate law."""
-    return _evaluate([(label, dist)], f, tol)[0]
+    return _evaluate([(label, dist)], f)[0]
 
 
 def _exact_match_decision(c1: Candidate, c2: Candidate, r: float):
@@ -141,9 +133,7 @@ def prefer_with_threshold(c1: Candidate, c2: Candidate, r: float):
     unacceptable and raise; a candidate with VarK = 0 is an exact match
     for the reference and trivially wins (flagged on the decision).
     """
-    r = float(r)
-    if not (math.isfinite(r) and r > 0.0):
-        raise InvalidParameterError(f"threshold r must be finite and > 0, got {r}")
+    r = finite_positive("threshold r", r)
     for c in (c1, c2):
         if not c.K.value < r:
             raise ThresholdViolationError(
@@ -198,7 +188,7 @@ def prefer_auto(c1: Candidate, c2: Candidate):
     return winner, decision
 
 
-def rank(f, candidates, tol: float = quadrature.DEFAULT_TOL) -> SelectionReport:
+def rank(f, candidates) -> SelectionReport:
     """Rank candidate laws against the reference f.
 
     ``candidates`` is a sequence of (label, Density-or-FinitePMF) pairs.
@@ -215,7 +205,7 @@ def rank(f, candidates, tol: float = quadrature.DEFAULT_TOL) -> SelectionReport:
         seen.add(label)
     evaluated: list[Candidate] = []
     disqualified: list[tuple[Candidate, str]] = []
-    for cand in _evaluate(candidates, f, tol):
+    for cand in _evaluate(candidates, f):
         if math.isinf(cand.K.value):
             disqualified.append((cand, "infinite divergence"))
         elif math.isinf(cand.VarK.value):

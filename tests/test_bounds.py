@@ -7,7 +7,7 @@ import pytest
 
 from varidx.bounds import chebyshev_bound, exp_pair_bound, uniform_power_bound
 from varidx.distributions import Exponential, Lognormal, Power, Uniform, Weibull2
-from varidx.errors import InvalidParameterError, NotMonotoneError
+from varidx.errors import InvalidParameterError, NotMonotoneError, OutOfRangeError
 from varidx.measures import varinaccuracy
 
 EPS_GRID = [0.5, 1.0, 1.5, 2.0]
@@ -112,6 +112,26 @@ class TestChebyshevBound:
             b = chebyshev_bound(f, g, eps)
             assert 0.0 <= b.bound_value <= vi + 1e-7
             assert b.method == "generic"
+
+    def test_upper_level_past_float_range(self):
+        # e^(eps - I) overflows a float: it lies above sup g, so the upper
+        # term is 0 and the bound is the closed forms' one-term branch.
+        eps = 800.0
+        for eta in (1.0, 2.0):
+            g = chebyshev_bound(Exponential(4.0), Exponential(eta), eps)
+            c = exp_pair_bound(4.0, eta, eps)
+            assert (g.branch, c.branch) == ("one_term", "one_term")
+            assert abs(g.bound_value - c.bound_value) <= 1e-9
+        for alpha in (2.0, 3.0):
+            g = chebyshev_bound(Uniform(0.0, 1.0), Power(alpha), eps)
+            c = uniform_power_bound(alpha, eps)
+            assert (g.branch, c.branch) == ("one_term", "one_term")
+            assert abs(g.bound_value - c.bound_value) <= 1e-9
+
+    def test_overflowing_level_of_unbounded_pdf_rejected(self):
+        # Power(0.5) has sup g = inf: no limit to read past the float range.
+        with pytest.raises(OutOfRangeError, match="unbounded"):
+            chebyshev_bound(Uniform(0.0, 1.0), Power(0.5), 800.0)
 
     def test_tiny_eps_vanishes(self):
         b = chebyshev_bound(Exponential(1.0), Exponential(2.0), 1e-6)

@@ -182,6 +182,13 @@ class TestMeasuresCommand:
         code, _, _ = run(capsys, "measures", "--f", "exp:1", "--g", "dunif:4")
         assert code == 2
 
+    def test_uniform_of_infinite_width_exit_code(self, capsys):
+        code, out, err = run(
+            capsys, "measures", "--f", "uniform:-1e308,1e308", "--g", "exp:1"
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("error: uniform width") and "Traceback" not in err
+
     def test_computation_error_exit_code(self, capsys):
         code, _, err = run(
             capsys, "measures", "--f", "uniform:0,1", "--g", "uniform:2,3"
@@ -273,6 +280,13 @@ class TestBoundsCommand:
         for row in rows:
             for bound in row[2:]:
                 assert bound <= row[1] + 1e-7
+
+    @pytest.mark.parametrize("pair,grid", [("exp", "1:2:1"), ("power", "2:3:1")])
+    def test_overflowing_upper_level(self, capsys, pair, grid):
+        code, out, err = run(capsys, "bounds", "--pair", pair, "--grid", grid, "--eps", "800")
+        assert (code, err) == (0, "")
+        _, rows = csv_rows(out)
+        assert [row[2] for row in rows] == [0.0, 0.0]
 
     def test_tiny_eps_column_vanishes(self, capsys):
         code, out, _ = run(
@@ -402,6 +416,18 @@ class TestFitCommand:
         code, _, err = run(capsys, "fit", "--data", "murthy41", "--candidates", "exp")
         assert code == 3
         assert "failed to fit" in err
+
+    def test_overflowing_beta_binomial_fails_its_fit(self, capsys):
+        argv = ["fit", "--data", "coin3", "--discrete", "--candidates"]
+        code, out, err = run(capsys, *argv, "betabin:3,1e308,1")
+        assert (code, out) == (3, "")
+        assert "overflow lgamma" in err and "Traceback" not in err
+        # Beside a valid candidate it is listed as a failure.
+        code, out, _ = run(capsys, *argv, "betabin:3,1e308,1", "dunif:4", "--json")
+        assert code == 0
+        payload = strict_loads(out)
+        assert payload["ranking"] == ["dunif:4.0"]
+        assert "overflow lgamma" in payload["failures"][0]["error"]
 
     def test_fit_failure_recorded_not_fatal(self, capsys):
         # 'exp' has no fitter; the explicit candidate still ranks.

@@ -92,6 +92,21 @@ class TestConstruction:
         with pytest.raises(InvalidParameterError):
             make_distribution(family, params)
 
+    @pytest.mark.parametrize("lo,hi", [(-1e308, 1e308), (0.0, math.inf), (math.nan, 1.0)])
+    def test_uniform_width_must_be_finite(self, lo, hi):
+        # hi - lo = inf would give the density height 0.
+        with pytest.raises(InvalidParameterError, match="uniform width hi - lo must be finite and > 0"):
+            Uniform(lo, hi)
+
+    def test_positive_parameter_message(self):
+        for build, name in [
+            (lambda: Exponential(math.nan), "exponential rate"),
+            (lambda: Weibull2(1.0, -2.0), "weibull2 rate"),
+            (lambda: KernelDensity([0.0, 1.0], math.inf, (-1.0, 2.0)), "kde bandwidth"),
+        ]:
+            with pytest.raises(InvalidParameterError, match=f"^{name} must be finite and > 0, got "):
+                build()
+
     def test_unknown_family_and_arity(self):
         with pytest.raises(InvalidParameterError):
             make_distribution("cauchy", [0.0])
@@ -512,6 +527,11 @@ class TestFinitePMF:
     def test_invalid_pmf_parameters(self, family, params):
         with pytest.raises(InvalidParameterError):
             make_pmf(family, params)
+
+    def test_beta_binomial_lgamma_overflow_is_an_error(self):
+        # lgamma overflows a float above about 2.5e305.
+        with pytest.raises(OutOfRangeError, match="overflow lgamma"):
+            make_pmf("beta_binomial", [3, 1e308, 1.0])
 
     def test_probabilities_must_sum_to_one(self):
         with pytest.raises(InvalidParameterError):

@@ -22,6 +22,7 @@ from varidx.distributions import (
 )
 from varidx.errors import (
     DisjointSupportError,
+    InvalidParameterError,
     OutOfRangeError,
     QuadratureConvergenceError,
     SupportMismatchError,
@@ -553,6 +554,17 @@ class TestInfoMoments:
         assert rec.I == inaccuracy(f, g) and rec.VarK == var_kl(f, g)
         assert rec.cov == log_log_cov(f, g)
         assert info_moments(f, f).H == entropy(f)
+
+    def test_mixed_kinds_are_an_error(self):
+        pmf = make_pmf("binomial", (3, 0.5))
+        for f, g in [
+            (Exponential(1.0), pmf),
+            (pmf, Exponential(1.0)),
+            (Exponential(1.0), [Exponential(2.0), pmf]),
+            (pmf, [pmf, Exponential(1.0)]),
+        ]:
+            with pytest.raises(InvalidParameterError, match="must both be Density or both FinitePMF values"):
+                info_moments(f, g)
 
     def test_divergent_pair_keeps_own_entropy(self):
         rec = info_moments(Exponential(1.0), Power(2.0))

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from varidx.errors import InvalidParameterError, QuadratureConvergenceError
 from varidx.distributions import Exponential, Lognormal, Uniform, Weibull2
-from varidx.quadrature import expectation, expectations, integrate
+from varidx.quadrature import expectations, integrate
 
 FLOOR = 1e-300
 LOG2 = math.log(2.0)
@@ -118,22 +118,22 @@ def test_substitution_stability():
 
 
 def test_expectation_of_exponential_mean():
-    r = expectation(Exponential(1.0), lambda x: x, tol=1e-10)
+    r = expectations(Exponential(1.0), [lambda x: x], tol=1e-10)[0]
     assert abs(r.value - 1.0) <= 1e-10
 
 
 def test_expectation_matches_inaccuracy_integrands():
     # E_f[-log(2 e^{-2x})] under Exp(1) is 2 - log 2.
-    r = expectation(
+    r = expectations(
         Exponential(1.0),
-        lambda x: -np.log(np.maximum(2.0 * np.exp(-2.0 * x), FLOOR)),
+        [lambda x: -np.log(np.maximum(2.0 * np.exp(-2.0 * x), FLOOR))],
         tol=1e-10,
-    )
+    )[0]
     assert abs(r.value - (2.0 - LOG2)) <= 1e-10
     # E_f[-log(2x)] under U(0,1) is 1 - log 2.
-    r = expectation(
-        Uniform(0.0, 1.0), lambda x: -np.log(np.maximum(2.0 * x, FLOOR)), tol=1e-10
-    )
+    r = expectations(
+        Uniform(0.0, 1.0), [lambda x: -np.log(np.maximum(2.0 * x, FLOOR))], tol=1e-10
+    )[0]
     assert abs(r.value - (1.0 - LOG2)) <= 1e-10
 
 
@@ -144,8 +144,8 @@ def test_shared_partition_expectations_agree_with_singles():
         return np.log1p(x)
 
     joint = expectations(f, [w, lambda x: w(x) ** 2], tol=1e-10)
-    single1 = expectation(f, w, tol=1e-10)
-    single2 = expectation(f, lambda x: w(x) ** 2, tol=1e-10)
+    single1 = expectations(f, [w], tol=1e-10)[0]
+    single2 = expectations(f, [lambda x: w(x) ** 2], tol=1e-10)[0]
     assert abs(joint[0].value - single1.value) <= 1e-9
     assert abs(joint[1].value - single2.value) <= 1e-9
     # Both components report the same partition size.
