@@ -203,7 +203,8 @@ class Exponential(Density):
         return math.log(self.rate) - self.rate * x
 
     def _cdf(self, x):
-        return -np.expm1(-self.rate * x)
+        with np.errstate(over="ignore"):
+            return -np.expm1(-self.rate * x)
 
     def _quantile(self, q):
         return -np.log1p(-q) / self.rate
@@ -768,17 +769,21 @@ def inverse_pdf(d: Density, z) -> float:
             f"pdf level {z:g} outside attainable range ({lo_r:g}, {hi_r:g})"
         )
 
+    return _inverse_log_pdf(d, math.log(z))
+
+
+def _inverse_log_pdf(d: Density, log_z: float) -> float:
+    """Solve log pdf(x) = log_z for a strictly monotone pdf whose range
+    holds e^log_z, also where that level underflows a float."""
     if isinstance(d, Exponential):
-        return -math.log(z / d.rate) / d.rate
+        return (math.log(d.rate) - log_z) / d.rate
     if isinstance(d, Power):
-        return (z / d.alpha) ** (1.0 / (d.alpha - 1.0))
+        return math.exp((log_z - math.log(d.alpha)) / (d.alpha - 1.0))
+    return _bisect_pdf_level(d, log_z)
 
-    return _bisect_pdf_level(d, z)
 
-
-def _bisect_pdf_level(d: Density, z: float) -> float:
+def _bisect_pdf_level(d: Density, target: float) -> float:
     lo, hi = d.support
-    target = math.log(z)
     decreasing = d.monotonicity == "decreasing"
 
     if math.isinf(hi) or math.isinf(lo):

@@ -28,9 +28,17 @@ Each field carries its evaluation route:
   [1, a, a^2] and, for each g that still lacks a field,
   [b, b^2, a - b, (a - b)^2], on the support common to f and those g.
   log f and each log g are evaluated once per node, the pdf is taken as
-  exp(a), and every row converges against its own goal.  The quadrature
-  runs only when a field is still missing and fills only those fields;
-  cov = (VarH + VarI - VarK) / 2, so both identities hold to rounding.
+  exp(a), and every row converges against its own goal.  On a support
+  (0, hi) the nodes are u = log x on (-inf, log hi), with x = e^u and
+  the weight p(x) x du: the x^(alpha-1) log x factors of power-type
+  laws at 0 become exponential tails in u, which the quadrature's
+  half-line map integrates in a few panels, instead of singularities
+  that bisection can only approach.  A node whose e^u rounds to 0, hi
+  or inf lies outside f's open support and adds an exact 0, so mass
+  below the smallest float is not integrated, and ends in an error
+  rather than in moments.  The quadrature runs only when a field is
+  still missing and fills only those fields; cov = (VarH + VarI -
+  VarK) / 2, so both identities hold to rounding.
   The first row is f's mass: a quadrature that did not see all of it
   raises QuadratureConvergenceError instead of returning moments of
   part of f.
@@ -412,8 +420,9 @@ def _integrated(f: Density, gs: list, own: dict, closed, tol: float):
     rows are p * [1, a, a^2], p = f's pdf and a = log p, and
     p * [b, b^2, c, c^2] for each g that still lacks a field, b = log g
     and c = a - b, integrated by one quadrature on the support common to
-    f and those g.  ``own`` holds f's closed-form H and VarH; with both
-    of them and no rows to add, nothing is integrated (None, None).
+    f and those g (in u = log x when it starts at 0).  ``own`` holds f's
+    closed-form H and VarH; with both of them and no rows to add,
+    nothing is integrated (None, None).
     """
     lo, hi = f.support
     plans = []
@@ -432,24 +441,32 @@ def _integrated(f: Density, gs: list, own: dict, closed, tol: float):
         plans.append((known, row))
     if len(own) == 2 and not row_gs:
         return plans, None, None
+    # On (0, hi) the nodes are u = log x (see the module docstring).
+    log_map = lo == 0.0
+    ends = (-math.inf, math.log(hi)) if log_map else (lo, hi)
 
-    def rows(x):
-        out = np.zeros((3 + 4 * len(row_gs), x.size))
-        a = f.log_pdf(x)
-        p = np.exp(a)
-        m = p > 0.0
-        if np.any(m):
-            a, p, xm = a[m], p[m], x[m]
-            block = [np.ones_like(a), a, a * a]
-            for g in row_gs:
-                b = a if g is f else g.log_pdf(xm)
-                c = a - b
-                block += [b, b * b, c, c * c]
-            out[:, m] = p * np.array(block)
+    def rows(u):
+        out = np.zeros((3 + 4 * len(row_gs), u.size))
+        # e^u may overflow, and so may a law on its way to a 0 density.
+        with np.errstate(over="ignore"):
+            x = np.exp(u) if log_map else u
+            a = f.log_pdf(x)
+            p = np.exp(a)
+            m = p > 0.0
+            if np.any(m):
+                a, p, xm = a[m], p[m], x[m]
+                if log_map:
+                    p = p * xm  # dx = x du
+                block = [np.ones_like(a), a, a * a]
+                for g in row_gs:
+                    b = a if g is f else g.log_pdf(xm)
+                    c = a - b
+                    block += [b, b * b, c, c * c]
+                out[:, m] = p * np.array(block)
         return out
 
     value, error, panels = quadrature._integrate_vector(
-        rows, lo, hi, tol, _REL_TOL, quadrature.MAX_PANELS
+        rows, *ends, tol, _REL_TOL, quadrature.MAX_PANELS
     )
     mass = float(value[0])
     if not abs(mass - 1.0) <= max(_MASS_CHECK, float(error[0])):

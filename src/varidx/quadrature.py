@@ -7,10 +7,11 @@ estimate drops below its goal ``max(tol, rel_tol * |value|)``.  The
 panel split next is the one whose largest error relative to its row's
 goal is greatest, so a row already within its (possibly loose,
 relative) goal draws no further refinement.  All
-quadrature nodes are strictly interior, so integrable endpoint
-singularities (log-type blow-ups of the integrands used elsewhere in
-this package) are handled by refinement near the endpoint rather than
-by special casing.
+quadrature nodes are strictly interior, so an integrable endpoint
+singularity is never evaluated; bisection only approaches it, at a cost
+of many panels.  :mod:`varidx.measures` therefore integrates a law on
+(0, hi) in u = log x, where the power and log factors at 0 become
+exponential tails.
 
 Infinite endpoints are removed before refinement starts by the change
 of variable :func:`half_line`, ``x = lo + t / (1 - t)`` (mirrored for a
@@ -235,18 +236,15 @@ def _segments(h, lo: float, hi: float):
 
 
 def _tail_scale(values, t):
-    """Apply the half-line Jacobian 1/(1-t)^2; exact zeros stay zero.
-
-    Keeps an underflowed-to-zero tail from producing 0 * inf when the
-    Jacobian itself overflows extremely close to t = 1.
+    """Apply the half-line Jacobian 1/(1-t)^2; exact zeros stay zero,
+    also at a node that rounds to t = 1 (the image of an infinite end),
+    where the Jacobian is infinite; a nonzero value there gives inf,
+    which the panel rule rejects.
     """
-    values = np.asarray(values, dtype=float)
-    out = np.zeros_like(values)
-    mask = values != 0.0
-    if np.any(mask):
-        w = 1.0 - t
-        jac = np.broadcast_to(w * w, values.shape)
-        out[mask] = values[mask] / jac[mask]
+    w = 1.0 - t
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        out = values / (w * w)
+    out[values == 0.0] = 0.0
     return out
 
 

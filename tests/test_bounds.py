@@ -44,6 +44,11 @@ class TestExpPairBound:
     def test_method_tag(self):
         assert exp_pair_bound(1.0, 1.0, 1.0).method == "closed_form"
 
+    def test_overflowing_eps_squared_times_zero_is_zero(self):
+        # eps^2 = inf and e^{-1 - eps lam/eta} = 0: the limit is 0, not nan.
+        b = exp_pair_bound(1e200, 1.0, 1e200)
+        assert (b.branch, b.bound_value) == ("one_term", 0.0)
+
 
 class TestUniformPowerBound:
     def test_two_term_branch_value(self):
@@ -63,6 +68,10 @@ class TestUniformPowerBound:
         two = uniform_power_bound(2.0, 1.0)  # alpha = 1 + eps exactly
         assert two.branch == "two_term"
         assert abs(two.bound_value - math.exp(-2.0)) <= 1e-15
+
+    def test_overflowing_eps_squared_times_zero_is_zero(self):
+        b = uniform_power_bound(2.0, 1e200)
+        assert (b.branch, b.bound_value) == ("one_term", 0.0)
 
     def test_alpha_at_most_one_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -127,6 +136,18 @@ class TestChebyshevBound:
             c = uniform_power_bound(alpha, eps)
             assert (g.branch, c.branch) == ("one_term", "one_term")
             assert abs(g.bound_value - c.bound_value) <= 1e-9
+
+    def test_underflowing_levels_match_closed_form(self):
+        # I = 1000, so both levels e^{-1000 -+ 2} underflow a float.
+        g = chebyshev_bound(Exponential(1e-3), Exponential(1.0), 2.0)
+        c = exp_pair_bound(1e-3, 1.0, 2.0)
+        assert g.branch == c.branch == "two_term"
+        assert abs(g.bound_value - c.bound_value) <= 1e-12 * c.bound_value
+        assert abs(c.bound_value - 3.9941139250) <= 1e-10
+
+    def test_overflowing_eps_squared_times_zero_is_zero(self):
+        b = chebyshev_bound(Exponential(1e200), Exponential(1.0), 1e200)
+        assert (b.branch, b.bound_value) == ("one_term", 0.0)
 
     def test_overflowing_level_of_unbounded_pdf_rejected(self):
         # Power(0.5) has sup g = inf: no limit to read past the float range.

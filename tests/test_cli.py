@@ -286,7 +286,10 @@ class TestBoundsCommand:
         code, out, err = run(capsys, "bounds", "--pair", pair, "--grid", grid, "--eps", "800")
         assert (code, err) == (0, "")
         _, rows = csv_rows(out)
-        assert [row[2] for row in rows] == [0.0, 0.0]
+        # The closed forms' values: the lower-tail term 800^2 e^{-401} of
+        # alpha = 3 is a float, the other terms underflow to 0.
+        expected = {"exp": [0.0, 0.0], "power": [0.0, 4.50912973432e-169]}[pair]
+        assert [row[2] for row in rows] == expected
 
     def test_tiny_eps_column_vanishes(self, capsys):
         code, out, _ = run(

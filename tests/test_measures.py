@@ -1,6 +1,7 @@
 """Measure values against known forms, plus the structural identities."""
 
 import math
+import time
 import warnings
 
 import numpy as np
@@ -22,6 +23,7 @@ from varidx.distributions import (
 )
 from varidx.errors import (
     DisjointSupportError,
+    Error,
     InvalidParameterError,
     OutOfRangeError,
     QuadratureConvergenceError,
@@ -547,6 +549,55 @@ class TestInfoMoments:
             rec = info_moments(f, g)
             assert {getattr(rec, name).method for name in FIELDS} == {"closed_form"}
         assert len(calls) == 2
+
+    def test_log_map_takes_few_panels_on_unit_interval(self, monkeypatch):
+        # In u = log x the x^(a-1) log x factors at 0 are exponential
+        # tails: remark 3.3's and example 2.4's quadrature cross-checks.
+        panels = []
+        inner = quadrature._integrate_vector
+
+        def counted(*args):
+            value, error, n = inner(*args)
+            panels.append(n)
+            return value, error, n
+
+        monkeypatch.setattr(quadrature, "_integrate_vector", counted)
+        f, g, h = Power(0.5), Power(3.0), Power(2.0)
+        for a, b, expect in [(f, g, 25.0), (f, h, 9.0), (h, g, 0.25)]:
+            assert abs(var_kl(a, b, method="quadrature").value - expect) <= 1e-12 * expect
+        rec = info_moments(Uniform(0.0, 1.0), h, method="quadrature")
+        assert abs(rec.I.value - (1.0 - LOG2)) <= 1e-12
+        assert abs(rec.VarI.value - 1.0) <= 1e-12
+        assert len(panels) == 4 and max(panels) <= 16
+
+    def test_heavy_lognormal_against_weibull_by_quadrature(self):
+        f, g = Lognormal(0.0, 5.0), Weibull2(0.5, 1.0)
+        quad, table = info_moments(f, g, method="quadrature"), info_moments(f, g)
+        for name in ("K", "VarK"):
+            q, t = getattr(quad, name), getattr(table, name)
+            assert abs(q.value - t.value) <= q.abs_error_estimate, name
+
+    def test_error_estimate_bounds_error_near_exponential_weibull(self):
+        # Weibull shapes just above 1 have an x^(shape - 1) factor at 0.
+        rng = np.random.default_rng(20)
+        slack = 4.0 * np.finfo(float).eps
+        for shape in 1.0 + 10.0 ** rng.uniform(-12.0, -3.0, 60):
+            f = Weibull2(shape, rng.uniform(0.2, 5.0))
+            g = Exponential(rng.uniform(0.2, 5.0))
+            quad, table = info_moments(f, g, method="quadrature"), info_moments(f, g)
+            for name in FIELDS[:6]:
+                q, t = getattr(quad, name), getattr(table, name)
+                allow = q.abs_error_estimate + slack * max(1.0, abs(t.value))
+                assert abs(q.value - t.value) <= allow, (shape, name, q, t)
+
+    def test_mass_below_the_float_range_is_an_error(self):
+        # Half of Power(1e-3)'s mass lies below the smallest float.
+        start = time.perf_counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(Error):
+                info_moments(Power(1e-3), Power(2.0), method="quadrature")
+        assert time.perf_counter() - start < 1.0
 
     def test_fields_match_single_measures(self):
         f, g = Weibull2(1.6, 0.8), Lognormal(0.0, 0.6)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from varidx.errors import InvalidParameterError, QuadratureConvergenceError
 from varidx.distributions import Exponential, Lognormal, Uniform, Weibull2
-from varidx.quadrature import expectations, integrate
+from varidx.quadrature import _tail_scale, expectations, integrate
 
 FLOOR = 1e-300
 LOG2 = math.log(2.0)
@@ -62,6 +62,14 @@ def test_divergent_integrand_raises_with_best_estimate():
         integrate(lambda x: 1.0 / x, (0.0, 1.0), tol=1e-9, max_panels=64)
     assert exc.value.subdivisions == 64
     assert exc.value.value > 10.0  # partial sums of a log-divergent integral
+
+
+def test_tail_scale_keeps_zeros_at_the_infinite_end():
+    # A node at t = 1 is x = inf: a zero there stays an exact 0 and a
+    # nonzero value becomes inf (rejected by the panel rule), silently.
+    t = np.array([0.5, 1.0, 1.0])
+    out = _tail_scale(np.array([1.0, 0.0, 2.0]), t)
+    assert out[0] == 4.0 and out[1] == 0.0 and out[2] == math.inf
 
 
 def test_invalid_interval_and_tolerance():
