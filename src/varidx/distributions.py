@@ -23,7 +23,7 @@ from .errors import (
     UnsupportedSamplerError,
     finite_positive,
 )
-from .quadrature import _NODES, _WGK, half_line
+from .quadrature import _NODES, _WGK, change_of_variables
 
 __all__ = [
     "Density",
@@ -177,12 +177,8 @@ class Density:
             return lo + (hi - lo) * frac
         if self.has_quantile:
             return self.quantile(np.linspace(0.005, 0.995, n))
-        t = np.linspace(0.01, 0.99, n)
-        if math.isfinite(lo):
-            return half_line(t, lo)
-        if math.isfinite(hi):
-            return -half_line(t[::-1], -hi)
-        return half_line(t) - half_line(1.0 - t)
+        x, _, _ = change_of_variables(lo, hi)
+        return x(np.linspace(0.01, 0.99, n))
 
     def __repr__(self):
         inner = ", ".join(f"{p:g}" for p in self.params)
@@ -635,21 +631,20 @@ def make_pmf(family: str, params) -> FinitePMF:
             raise InvalidParameterError(
                 f"beta_binomial alpha and beta must be > 0, got ({a}, {b})"
             )
-        k = np.arange(n + 1)
-
-        def lbeta(x, y):
-            return math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y)
-
-        try:
-            logp = (
-                _log_choose(n, k)
-                + np.array([lbeta(i + a, n - i + b) for i in k])
-                - lbeta(a, b)
-            )
-        except OverflowError:
+        if not math.isfinite(a + b + n):
             raise OutOfRangeError(
-                f"beta_binomial alpha and beta ({a}, {b}) overflow lgamma"
-            ) from None
+                f"beta_binomial alpha + beta ({a:g} + {b:g}) overflows a float"
+            )
+        # P(k) = C(n, k) prod_{j<k} (a + j) prod_{j<n-k} (b + j)
+        # / prod_{j<n} (a + b + j), summed in logs.  Each term is the log
+        # of a float, below 745 in size; lbeta through lgamma instead
+        # differences terms near (a + b) log(a + b), which for a huge a
+        # cancel every digit of the result.
+        k = np.arange(n + 1)
+        j = np.arange(n)
+        rise_a = np.concatenate([[0.0], np.cumsum(np.log(a + j))])
+        rise_b = np.concatenate([[0.0], np.cumsum(np.log(b + j))])
+        logp = _log_choose(n, k) + rise_a + rise_b[::-1] - np.sum(np.log(a + b + j))
         probs = np.exp(logp)
         return FinitePMF(
             tuple(k.tolist()), probs / probs.sum(), "beta_binomial", (n, a, b)
@@ -783,25 +778,11 @@ def _inverse_log_pdf(d: Density, log_z: float) -> float:
 
 
 def _bisect_pdf_level(d: Density, target: float) -> float:
-    lo, hi = d.support
+    # Bisect in t, strictly inside the start edges of the support's map.
+    x_of, _, edges = change_of_variables(*d.support)
+    t_lo = math.nextafter(edges[0], edges[-1])
+    t_hi = math.nextafter(edges[-1], edges[0])
     decreasing = d.monotonicity == "decreasing"
-
-    if math.isinf(hi) or math.isinf(lo):
-        # Bisect in t-space on the half-line map (finite lo assumed: all
-        # monotone families here live on a half line).
-        def x_of(t):
-            return half_line(t, lo)
-
-        t_lo, t_hi = 1e-300, 1.0 - 1e-16
-    else:
-
-        def x_of(t):
-            return t
-
-        t_lo, t_hi = (
-            np.nextafter(lo, hi),
-            np.nextafter(hi, lo),
-        )
 
     def g(t):
         return float(d.log_pdf(x_of(t))) - target

@@ -32,8 +32,9 @@ Each field carries its evaluation route:
   (0, hi) the nodes are u = log x on (-inf, log hi), with x = e^u and
   the weight p(x) x du: the x^(alpha-1) log x factors of power-type
   laws at 0 become exponential tails in u, which the quadrature's
-  half-line map integrates in a few panels, instead of singularities
-  that bisection can only approach.  A node whose e^u rounds to 0, hi
+  map of infinite ends integrates in a few panels, instead of
+  singularities that bisection can only approach; with hi = inf, u
+  runs over the whole line.  A node whose e^u rounds to 0, hi
   or inf lies outside f's open support and adds an exact 0, so mass
   below the smallest float is not integrated, and ends in an error
   rather than in moments.  The quadrature runs only when a field is

@@ -13,12 +13,13 @@ of many panels.  :mod:`varidx.measures` therefore integrates a law on
 (0, hi) in u = log x, where the power and log factors at 0 become
 exponential tails.
 
-Infinite endpoints are removed before refinement starts by the change
-of variable :func:`half_line`, ``x = lo + t / (1 - t)`` (mirrored for a
-lower endpoint at minus infinity), which maps the tail onto
-``t in (0, 1)``.  It is the package's one half-line map: the density
-probe grid and the pdf-level bisection in :mod:`varidx.distributions`
-use it too.
+Every interval goes through one change of variables,
+:func:`change_of_variables`, before refinement starts: a finite
+interval stays as it is, and an infinite end is mapped onto
+``t in (0, 1)`` by QUADPACK's QAGI substitution.  The whole line is one
+map whose two start panels meet at x = 0, refined under one tolerance
+and one convergence test.  The density probe grid and the pdf-level
+bisection in :mod:`varidx.distributions` use the same map.
 
 :mod:`varidx.measures` drives the vector loop with its own rows: the
 package's measures integrate nothing else.  :func:`expectations` runs
@@ -45,7 +46,7 @@ __all__ = [
     "MAX_PANELS",
     "integrate",
     "expectations",
-    "half_line",
+    "change_of_variables",
 ]
 
 DEFAULT_TOL = 1e-9
@@ -131,27 +132,33 @@ def _panel_rule(h, a: float, b: float):
     return resk, err
 
 
-def _adaptive(h, a: float, b: float, tol: float, rel_tol: float, max_panels: int):
-    """Globally adaptive refinement of the integrals of the rows of h.
+def _adaptive(h, edges, tol: float, rel_tol: float, max_panels: int):
+    """Globally adaptive refinement of the integrals of the rows of h,
+    starting from one panel between each pair of consecutive edges.
 
     Converges when every component's summed error estimate drops below
     ``max(tol, rel_tol * |component value|)``.
     """
-    val, err = _panel_rule(h, a, b)
-    ncomp = val.shape[0]
-    heap = [(0.0, 0, a, b, val, err)]
-    counter = 1
-    n_panels = 1
+    start = [(a, b, *_panel_rule(h, a, b)) for a, b in zip(edges[:-1], edges[1:])]
+    tot_val = sum(val for _, _, val, _ in start)
+    tot_err = sum(err for _, _, _, err in start)
+    goal = np.maximum(tol, rel_tol * np.abs(tot_val))
+    # Panels are keyed by their largest error relative to the goal of
+    # the same component, the quantity the convergence test uses.
+    heap = [
+        (-float(np.max(err / goal)), i, a, b, val, err)
+        for i, (a, b, val, err) in enumerate(start)
+    ]
+    heapq.heapify(heap)
+    counter = n_panels = len(heap)
     frozen: list[tuple[np.ndarray, np.ndarray]] = []
-    tot_val = val.copy()
-    tot_err = err.copy()
 
     while heap:
         goal = np.maximum(tol, rel_tol * np.abs(tot_val))
         if np.all(tot_err <= goal):
             break
         if n_panels >= max_panels:
-            value, error = _collect(heap, frozen, ncomp)
+            value, error = _collect(heap, frozen)
             raise QuadratureConvergenceError(
                 f"no convergence after {n_panels} panels "
                 f"(error {float(error.max()):.3e} > tol {tol:.3e})",
@@ -171,15 +178,13 @@ def _adaptive(h, a: float, b: float, tol: float, rel_tol: float, max_panels: int
         v2, e2 = _panel_rule(h, mid, pb)
         tot_val += v1 + v2
         tot_err += e1 + e2
-        # Panels are keyed by their largest error relative to the goal of
-        # the same component, the quantity the convergence test uses.
         heapq.heappush(heap, (-float(np.max(e1 / goal)), counter, pa, mid, v1, e1))
         counter += 1
         heapq.heappush(heap, (-float(np.max(e2 / goal)), counter, mid, pb, v2, e2))
         counter += 1
         n_panels += 1
 
-    value, error = _collect(heap, frozen, ncomp)
+    value, error = _collect(heap, frozen)
     goal = np.maximum(tol, rel_tol * np.abs(value))
     if not np.all(error <= goal):
         raise QuadratureConvergenceError(
@@ -192,76 +197,69 @@ def _adaptive(h, a: float, b: float, tol: float, rel_tol: float, max_panels: int
     return value, error, n_panels
 
 
-def _collect(heap, frozen, ncomp):
+def _collect(heap, frozen):
     """Exact (non-incremental) sums over all live and parked panels."""
-    value = np.zeros(ncomp)
-    error = np.zeros(ncomp)
-    for _, _, _, _, pval, perr in heap:
-        value += pval
-        error += perr
-    for pval, perr in frozen:
-        value += pval
-        error += perr
-    return value, error
+    parts = [(pval, perr) for _, _, _, _, pval, perr in heap] + frozen
+    return sum(v for v, _ in parts), sum(e for _, e in parts)
 
 
-def half_line(t, lo: float = 0.0):
-    """Map t in (0, 1) onto (lo, inf) by x = lo + t / (1 - t).
+def change_of_variables(lo: float, hi: float):
+    """x(t), dx/dt and the start edges in t of an integral over (lo, hi).
 
-    dx/dt = 1 / (1 - t)^2.  t = 1 maps to inf without a warning.
+    A finite interval is its own variable, with edges (lo, hi) and no
+    Jacobian (dx/dt None).  An infinite end is removed by QUADPACK's
+    QAGI substitution (Piessens et al., 1983) on t in (0, 1):
+    x = c + t / (1 - t) toward +inf and x = c - (1 - t) / t toward
+    -inf, c being the finite end.  The whole line takes their sum
+    x = t / (1 - t) - (1 - t) / t, with edges (0, 1/2, 1): its two start
+    panels meet at x = 0.  A t that rounds to 0 or 1 maps onto the
+    infinite end, and dx/dt there is inf, without a warning.
     """
-    with np.errstate(divide="ignore"):
-        return lo + t / (1.0 - t)
+    up, down = math.isinf(hi), math.isinf(lo)
+    if not (up or down):
+        return (lambda t: t), None, (lo, hi)
+    c = 0.0 if up and down else (lo if up else hi)
+
+    def x(t):
+        with np.errstate(divide="ignore", over="ignore"):
+            toward_hi = t / (1.0 - t) if up else 0.0
+            toward_lo = (1.0 - t) / t if down else 0.0
+            return c + toward_hi - toward_lo
+
+    def dx_dt(t):
+        with np.errstate(divide="ignore", over="ignore"):
+            toward_hi = 1.0 / (1.0 - t) ** 2 if up else 0.0
+            toward_lo = 1.0 / (t * t) if down else 0.0
+            return toward_hi + toward_lo
+
+    return x, dx_dt, (0.0, 0.5, 1.0) if up and down else (0.0, 1.0)
 
 
-def _segments(h, lo: float, hi: float):
-    """Rewrite an integral over (lo, hi) as finite-interval segments."""
-    lo_inf = math.isinf(lo)
-    hi_inf = math.isinf(hi)
-    if not lo_inf and not hi_inf:
-        return [(h, lo, hi)]
-    if lo_inf and hi_inf:
-        return _segments(h, lo, 0.0) + _segments(h, 0.0, hi)
-    if hi_inf:
+def _mapped(h, lo: float, hi: float):
+    """The integrand of h over (lo, hi) in t, and its start edges.
 
-        def upper(t, _h=h, _lo=lo):
-            return _tail_scale(_h(half_line(t, _lo)), t)
-
-        return [(upper, 0.0, 1.0)]
-
-    def lower(t, _h=h, _hi=hi):
-        return _tail_scale(_h(-half_line(t, -_hi)), t)
-
-    return [(lower, 0.0, 1.0)]
-
-
-def _tail_scale(values, t):
-    """Apply the half-line Jacobian 1/(1-t)^2; exact zeros stay zero,
-    also at a node that rounds to t = 1 (the image of an infinite end),
-    where the Jacobian is infinite; a nonzero value there gives inf,
-    which the panel rule rejects.
+    A zero of h stays an exact 0, also at a node where dx/dt is
+    infinite (a t that rounds onto an infinite end); a nonzero value
+    there gives inf, which the panel rule rejects.
     """
-    w = 1.0 - t
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        out = values / (w * w)
-    out[values == 0.0] = 0.0
-    return out
+    x, dx_dt, edges = change_of_variables(lo, hi)
+    if dx_dt is None:
+        return h, edges
+
+    def in_t(t):
+        values = h(x(t))
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = values * dx_dt(t)
+        out[values == 0.0] = 0.0
+        return out
+
+    return in_t, edges
 
 
 def _integrate_vector(h, lo, hi, tol, rel_tol, max_panels):
     if not tol > 0.0:
         raise InvalidParameterError("tol must be positive")
-    segs = _segments(h, lo, hi)
-    seg_tol = tol / len(segs)
-    value = None
-    error = None
-    n_panels = 0
-    for hseg, a, b in segs:
-        v, e, n = _adaptive(hseg, a, b, seg_tol, rel_tol, max_panels)
-        value = v if value is None else value + v
-        error = e if error is None else error + e
-        n_panels += n
-    return value, error, n_panels
+    return _adaptive(*_mapped(h, lo, hi), tol, rel_tol, max_panels)
 
 
 def integrate(

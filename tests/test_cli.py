@@ -154,7 +154,7 @@ class TestMeasuresCommand:
             assert math.isfinite(records[name]["value"])
 
     def test_lognormal_weibull_tail_pair_is_closed_form(self, capsys):
-        # The quadrature's half-line map needs over 32768 panels here.
+        # A heavy-tailed pair that the closed-form table covers.
         code, out, _ = run(
             capsys, "measures", "--f", "lognormal:0,5", "--g", "w2:0.5,1", "--json"
         )
@@ -422,15 +422,15 @@ class TestFitCommand:
 
     def test_overflowing_beta_binomial_fails_its_fit(self, capsys):
         argv = ["fit", "--data", "coin3", "--discrete", "--candidates"]
-        code, out, err = run(capsys, *argv, "betabin:3,1e308,1")
+        code, out, err = run(capsys, *argv, "betabin:3,1e308,1e308")
         assert (code, out) == (3, "")
-        assert "overflow lgamma" in err and "Traceback" not in err
+        assert "overflows a float" in err and "Traceback" not in err
         # Beside a valid candidate it is listed as a failure.
-        code, out, _ = run(capsys, *argv, "betabin:3,1e308,1", "dunif:4", "--json")
+        code, out, _ = run(capsys, *argv, "betabin:3,1e308,1e308", "dunif:4", "--json")
         assert code == 0
         payload = strict_loads(out)
         assert payload["ranking"] == ["dunif:4.0"]
-        assert "overflow lgamma" in payload["failures"][0]["error"]
+        assert "overflows a float" in payload["failures"][0]["error"]
 
     def test_fit_failure_recorded_not_fatal(self, capsys):
         # 'exp' has no fitter; the explicit candidate still ranks.

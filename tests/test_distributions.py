@@ -491,20 +491,26 @@ class TestFinitePMF:
         assert float(exact) == 0.408375
 
     def test_beta_binomial_exact_rationals(self):
-        def beta(a, b):
-            return Fraction(
-                math.factorial(a - 1) * math.factorial(b - 1),
-                math.factorial(a + b - 1),
-            )
+        def exact(n, a, b):
+            # C(n, k) prod (a + j) prod (b + j) / prod (a + b + j), exactly.
+            def rise(x, m):
+                return math.prod(Fraction(x + j) for j in range(m))
 
-        exact = [
-            Fraction(math.comb(3, k)) * beta(k + 12, 3 - k + 10) / beta(12, 10)
-            for k in range(4)
-        ]
-        assert exact[0] == Fraction(1320, 12144)
+            return [
+                math.comb(n, k) * rise(a, k) * rise(b, n - k) / rise(a + b, n)
+                for k in range(n + 1)
+            ]
+
+        assert exact(3, 12, 10)[0] == Fraction(1320, 12144)
         pmf = make_pmf("beta_binomial", [3, 12, 10])
         for k in range(4):
-            assert abs(pmf.probs[k] - float(exact[k])) <= 1e-14
+            assert abs(pmf.probs[k] - float(exact(3, 12, 10)[k])) <= 1e-14
+        # A huge alpha: lbeta through lgamma cancels all of its digits.
+        for a in (10**12, 10**16, 10**20):
+            for b in (1, 10):
+                pmf = make_pmf("beta_binomial", [3, a, b])
+                for k, p in enumerate(exact(3, a, b)):
+                    assert abs(pmf.probs[k] - float(p)) <= 1e-12 * float(p), (a, b, k)
 
     def test_discrete_uniform(self):
         pmf = make_pmf("discrete_uniform", [4])
@@ -528,10 +534,12 @@ class TestFinitePMF:
         with pytest.raises(InvalidParameterError):
             make_pmf(family, params)
 
-    def test_beta_binomial_lgamma_overflow_is_an_error(self):
-        # lgamma overflows a float above about 2.5e305.
-        with pytest.raises(OutOfRangeError, match="overflow lgamma"):
-            make_pmf("beta_binomial", [3, 1e308, 1.0])
+    def test_beta_binomial_overflow_is_an_error(self):
+        # alpha + beta overflows a float; alpha alone does not.
+        with pytest.raises(OutOfRangeError, match="overflows a float"):
+            make_pmf("beta_binomial", [3, 1e308, 1e308])
+        pmf = make_pmf("beta_binomial", [3, 1e308, 1.0])
+        assert pmf.probs[3] == 1.0 and abs(pmf.probs[2] - 3e-308) <= 1e-12 * 3e-308
 
     def test_probabilities_must_sum_to_one(self):
         with pytest.raises(InvalidParameterError):

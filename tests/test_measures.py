@@ -570,6 +570,34 @@ class TestInfoMoments:
         assert abs(rec.VarI.value - 1.0) <= 1e-12
         assert len(panels) == 4 and max(panels) <= 16
 
+    def test_whole_line_in_u_is_one_refinement(self, monkeypatch):
+        # On (0, inf) the nodes u = log x run over the whole line: two
+        # start panels that meet at u = 0, refined under one tolerance.
+        # Lognormal(-4, 0.05) needs the two start panels: from one
+        # unsplit panel the rule misses its mass.
+        panels = []
+        inner = quadrature._integrate_vector
+
+        def counted(*args):
+            value, error, n = inner(*args)
+            panels.append(n)
+            return value, error, n
+
+        monkeypatch.setattr(quadrature, "_integrate_vector", counted)
+        pairs = [
+            (Exponential(1.0), Exponential(2.0)),  # example 2.3
+            (Lognormal(2.0, 0.02), Exponential(1.0)),
+            (Lognormal(-4.0, 0.05), Exponential(1.0)),
+        ]
+        for f, g in pairs:
+            quad, table = info_moments(f, g, method="quadrature"), info_moments(f, g)
+            for name in FIELDS:
+                q, t = getattr(quad, name), getattr(table, name)
+                assert abs(q.value - t.value) <= q.abs_error_estimate, (f, name)
+            if f is pairs[1][0]:
+                assert abs(quad.K.value - 7.88361853016) <= quad.K.abs_error_estimate
+        assert panels[0] <= 11
+
     def test_heavy_lognormal_against_weibull_by_quadrature(self):
         f, g = Lognormal(0.0, 5.0), Weibull2(0.5, 1.0)
         quad, table = info_moments(f, g, method="quadrature"), info_moments(f, g)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from varidx.errors import InvalidParameterError, QuadratureConvergenceError
 from varidx.distributions import Exponential, Lognormal, Uniform, Weibull2
-from varidx.quadrature import _tail_scale, expectations, integrate
+from varidx.quadrature import _mapped, expectations, integrate
 
 FLOOR = 1e-300
 LOG2 = math.log(2.0)
@@ -65,11 +65,21 @@ def test_divergent_integrand_raises_with_best_estimate():
 
 
 def test_tail_scale_keeps_zeros_at_the_infinite_end():
-    # A node at t = 1 is x = inf: a zero there stays an exact 0 and a
-    # nonzero value becomes inf (rejected by the panel rule), silently.
-    t = np.array([0.5, 1.0, 1.0])
-    out = _tail_scale(np.array([1.0, 0.0, 2.0]), t)
-    assert out[0] == 4.0 and out[1] == 0.0 and out[2] == math.inf
+    # On the whole line, t = 0 and t = 1 are x = -inf and x = inf, where
+    # dx/dt is infinite: a zero there stays an exact 0 and a nonzero
+    # value becomes inf (rejected by the panel rule), silently.
+    values = np.array([[1.0, 0.0, 0.0, 2.0, 2.0]])
+    seen = []
+
+    def h(x):
+        seen.append(x)
+        return values
+
+    in_t, edges = _mapped(h, -math.inf, math.inf)
+    out = in_t(np.array([0.5, 0.0, 1.0, 0.0, 1.0]))
+    assert edges == (0.0, 0.5, 1.0)
+    assert seen[0].tolist() == [0.0, -math.inf, math.inf, -math.inf, math.inf]
+    assert out.tolist() == [[8.0, 0.0, 0.0, math.inf, math.inf]]
 
 
 def test_invalid_interval_and_tolerance():
