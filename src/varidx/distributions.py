@@ -764,17 +764,20 @@ def inverse_pdf(d: Density, z) -> float:
             f"pdf level {z:g} outside attainable range ({lo_r:g}, {hi_r:g})"
         )
 
-    return _inverse_log_pdf(d, math.log(z))
+    return float(_inverse_log_pdf(d, math.log(z)))
 
 
-def _inverse_log_pdf(d: Density, log_z: float) -> float:
+def _inverse_log_pdf(d: Density, log_z):
     """Solve log pdf(x) = log_z for a strictly monotone pdf whose range
-    holds e^log_z, also where that level underflows a float."""
+    holds e^log_z, also where that level underflows a float.  log_z may
+    be an array of levels; bisection solves them one at a time."""
     if isinstance(d, Exponential):
         return (math.log(d.rate) - log_z) / d.rate
     if isinstance(d, Power):
-        return math.exp((log_z - math.log(d.alpha)) / (d.alpha - 1.0))
-    return _bisect_pdf_level(d, log_z)
+        return np.exp((log_z - math.log(d.alpha)) / (d.alpha - 1.0))
+    if np.ndim(log_z) == 0:
+        return _bisect_pdf_level(d, float(log_z))
+    return np.array([_bisect_pdf_level(d, z) for z in log_z.tolist()])
 
 
 def _bisect_pdf_level(d: Density, target: float) -> float:

@@ -466,9 +466,17 @@ def _integrated(f: Density, gs: list, own: dict, closed, tol: float):
                 out[:, m] = p * np.array(block)
         return out
 
-    value, error, panels = quadrature._integrate_vector(
-        rows, *ends, tol, _REL_TOL, quadrature.MAX_PANELS
-    )
+    try:
+        value, error, panels = quadrature._integrate_vector(
+            rows, *ends, tol, _REL_TOL, quadrature.MAX_PANELS
+        )
+    except quadrature._NonFinite as exc:
+        if not log_map:
+            raise
+        # Name the panel in x = e^u, not in u.
+        with np.errstate(over="ignore"):
+            x = np.exp(np.array(exc.panel))
+        raise quadrature._NonFinite(*(float(v) for v in x)) from None
     mass = float(value[0])
     if not abs(mass - 1.0) <= max(_MASS_CHECK, float(error[0])):
         raise QuadratureConvergenceError(

@@ -106,6 +106,16 @@ class IntegralResult:
     subdivisions: int
 
 
+class _NonFinite(InvalidParameterError):
+    """The integrand was not finite on the panel (a, b); raised in the
+    variable the panels cut, then again by :func:`_integrate_vector`
+    with the panel mapped back to the integrand's variable."""
+
+    def __init__(self, a: float, b: float):
+        super().__init__(f"integrand returned a non-finite value inside ({a!r}, {b!r})")
+        self.panel = (a, b)
+
+
 def _panel_rule(h, a: float, b: float):
     """Apply the 15-point rule to one panel; h returns shape (m, k) data."""
     center = 0.5 * (a + b)
@@ -113,9 +123,7 @@ def _panel_rule(h, a: float, b: float):
     x = center + half * _NODES
     fx = np.atleast_2d(np.asarray(h(x), dtype=float))
     if not np.all(np.isfinite(fx)):
-        raise InvalidParameterError(
-            f"integrand returned a non-finite value inside ({a!r}, {b!r})"
-        )
+        raise _NonFinite(a, b)
     fsum = fx @ _WGK
     resk = fsum * half
     resg = (fx[:, _GAUSS_IDX] @ _WG) * half
@@ -257,9 +265,15 @@ def _mapped(h, lo: float, hi: float):
 
 
 def _integrate_vector(h, lo, hi, tol, rel_tol, max_panels):
+    """:func:`_adaptive` over (lo, hi) through :func:`_mapped`; a
+    non-finite integrand is reported on its panel in h's variable."""
     if not tol > 0.0:
         raise InvalidParameterError("tol must be positive")
-    return _adaptive(*_mapped(h, lo, hi), tol, rel_tol, max_panels)
+    try:
+        return _adaptive(*_mapped(h, lo, hi), tol, rel_tol, max_panels)
+    except _NonFinite as exc:
+        x = change_of_variables(lo, hi)[0](np.array(exc.panel))
+        raise _NonFinite(*(float(v) for v in x)) from None
 
 
 def integrate(

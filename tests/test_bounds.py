@@ -5,8 +5,16 @@ import math
 import numpy as np
 import pytest
 
+from varidx import bounds
 from varidx.bounds import chebyshev_bound, exp_pair_bound, uniform_power_bound
-from varidx.distributions import Exponential, Lognormal, Power, Uniform, Weibull2
+from varidx.distributions import (
+    Exponential,
+    LogKernelDensity,
+    Lognormal,
+    Power,
+    Uniform,
+    Weibull2,
+)
 from varidx.errors import InvalidParameterError, NotMonotoneError, OutOfRangeError
 from varidx.measures import varinaccuracy
 
@@ -179,3 +187,68 @@ class TestChebyshevBound:
                 assert b.bound_value <= varinaccuracy(f, g).value + 1e-7
                 values.append(b.bound_value)
             assert max(values) > 0.0
+
+
+class TestMarginList:
+    """A list of margins gives, bit for bit, one call per margin."""
+
+    EPS = [1e-6, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 10.0, 1e200]
+
+    @pytest.mark.parametrize(
+        "f,g",
+        [
+            (Exponential(4.0), Exponential(0.5)),
+            (Exponential(4.0), Exponential(8.0)),
+            (Uniform(0.0, 1.0), Power(0.5)),
+            (Uniform(0.0, 1.0), Power(3.0)),
+            (Power(1.5), Power(0.8)),
+            # Weibull2 with shape <= 1 takes the bisection route.
+            (Exponential(0.8), Weibull2(0.5, 1.2)),
+            (Exponential(0.8), Weibull2(0.8, 1.2)),
+            (Weibull2(1.5, 0.5), Weibull2(1.0, 2.0)),
+            # I = 1000: the levels underflow a float.
+            (Exponential(1e-3), Exponential(1.0)),
+            # eps^2 overflows where the probabilities are 0.
+            (Exponential(1e200), Exponential(1.0)),
+        ],
+        ids=repr,
+    )
+    def test_list_matches_one_call_per_margin(self, f, g):
+        eps = self.EPS if math.isfinite(g.pdf_range()[1]) else self.EPS[:-1]
+        one = [chebyshev_bound(f, g, e) for e in eps]
+        assert all(isinstance(b, bounds.BoundResult) for b in one)
+        # BoundResult equality compares the float fields exactly.
+        assert chebyshev_bound(f, g, eps) == one
+        assert chebyshev_bound(f, g, tuple(eps)) == one
+
+    def test_kde_f_matches_one_call_per_margin_to_rounding(self):
+        # A KDE's cdf sums each threshold over the kernel windows of the
+        # whole batch, so the list agrees with one call per margin only
+        # to rounding.
+        data = np.random.default_rng(3).exponential(1.0, 200)
+        f, g = LogKernelDensity(data, 0.3), Exponential(1.0)
+        one = [chebyshev_bound(f, g, e) for e in self.EPS]
+        many = chebyshev_bound(f, g, self.EPS)
+        assert [b.branch for b in many] == [b.branch for b in one]
+        assert {b.branch for b in one} == {"one_term", "two_term"}
+        for b_many, b_one in zip(many, one):
+            assert b_many.bound_value == pytest.approx(b_one.bound_value, rel=1e-12, abs=1e-14)
+
+    def test_both_branches_and_zero_values_are_covered(self):
+        rows = chebyshev_bound(Exponential(4.0), Exponential(8.0), self.EPS)
+        assert {b.branch for b in rows} == {"one_term", "two_term"}
+        last = chebyshev_bound(Exponential(1e200), Exponential(1.0), self.EPS)[-1]
+        assert (last.branch, last.bound_value) == ("one_term", 0.0)
+
+    def test_bad_margin_is_rejected_before_any_evaluation(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("I was computed before the margins were checked")
+
+        monkeypatch.setattr(bounds, "inaccuracy", never)
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(InvalidParameterError):
+                chebyshev_bound(Exponential(1.0), Exponential(2.0), [0.5, bad, 1.0])
+
+    def test_overflowing_level_of_unbounded_pdf_rejected_in_a_list(self):
+        with pytest.raises(OutOfRangeError, match="unbounded"):
+            chebyshev_bound(Uniform(0.0, 1.0), Power(0.5), [0.5, 800.0, 1.0])

@@ -6,8 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from varidx.cli import DistSpec, main, parse_dist_spec
+from varidx.bounds import chebyshev_bound
+from varidx.cli import DistSpec, _parse_grid, main, parse_dist_spec
+from varidx.distributions import Exponential, Power, Uniform
 from varidx.errors import SpecParseError
+from varidx.measures import info_moments
 
 LOG2 = math.log(2.0)
 
@@ -299,6 +302,42 @@ class TestBoundsCommand:
         _, rows = csv_rows(out)
         for row in rows:
             assert row[2] <= 2e-12
+
+
+def pointwise_row(command, pair, x):
+    """One CSV row of ``command`` with its default options, from one
+    info_moments call per pair and one chebyshev_bound call per margin."""
+    if command == "curves":
+        if pair == "exp":
+            pairs = [(Exponential(lam), Exponential(x)) for lam in (1.0, 2.0, 3.0, 4.0)]
+        else:
+            pairs = [(Uniform(0.0, 1.0), Power(x))]
+        records = [info_moments(f, g) for f, g in pairs]
+        return [x] + [v for r in records for v in (r.I.value, r.VarI.value)]
+    f, g = (Exponential(4.0), Exponential(x)) if pair == "exp" else (Uniform(0.0, 1.0), Power(x))
+    bounds = [chebyshev_bound(f, g, e).bound_value for e in (0.5, 1.0, 1.5, 2.0)]
+    return [x, info_moments(f, g).VarI.value] + bounds
+
+
+@pytest.mark.parametrize(
+    "command,pair,grid,header",
+    [
+        ("curves", "exp", "0.1:8:0.1", "eta,I_lambda=1,VarI_lambda=1,I_lambda=2,"
+         "VarI_lambda=2,I_lambda=3,VarI_lambda=3,I_lambda=4,VarI_lambda=4"),
+        ("curves", "power", "0.2:4:0.1", "alpha,I,VarI"),
+        ("bounds", "exp", "0.5:8:0.25", "eta,VarI,bound_eps=0.5,bound_eps=1,"
+         "bound_eps=1.5,bound_eps=2"),
+        ("bounds", "power", "1.25:5:0.25", "alpha,VarI,bound_eps=0.5,bound_eps=1,"
+         "bound_eps=1.5,bound_eps=2"),
+    ],
+)
+def test_grid_csv_matches_pointwise_calls(capsys, command, pair, grid, header):
+    # One batched call per grid prints what one call per point prints.
+    code, out, err = run(capsys, command, "--pair", pair, "--grid", grid)
+    assert (code, err) == (0, "")
+    rows = [pointwise_row(command, pair, x) for x in _parse_grid(grid)]
+    lines = [",".join(f"{v:.12g}" for v in row) for row in rows]
+    assert out == "\n".join([header] + lines) + "\n"
 
 
 class TestFitCommand:

@@ -1,6 +1,7 @@
 """Measure values against known forms, plus the structural identities."""
 
 import math
+import re
 import time
 import warnings
 
@@ -623,9 +624,14 @@ class TestInfoMoments:
         start = time.perf_counter()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(Error):
+            with pytest.raises(Error) as info:
                 info_moments(Power(1e-3), Power(2.0), method="quadrature")
         assert time.perf_counter() - start < 1.0
+        # The error names its interval in x, inside f's support near 0,
+        # not the quadrature's panel in its own variable.
+        found = re.search(r"inside \((\S+), (\S+)\)", str(info.value))
+        lo, hi = float(found[1]), float(found[2])
+        assert 0.0 <= lo < hi < 1e-200, str(info.value)
 
     def test_fields_match_single_measures(self):
         f, g = Weibull2(1.6, 0.8), Lognormal(0.0, 0.6)
