@@ -66,14 +66,23 @@ def chebyshev_bound(f: Density, g: Density, eps) -> BoundResult | list[BoundResu
     route as a list of one.
     """
     many = isinstance(eps, (list, tuple))
-    margins = np.array([finite_positive("eps", e) for e in (eps if many else [eps])])
+    results = _generic_bounds(f, g, eps if many else [eps])
+    return results if many else results[0]
+
+
+def _generic_bounds(f: Density, g: Density, eps, i_value: float | None = None) -> list[BoundResult]:
+    """The generic bounds of (f, g) at each margin of the sequence eps,
+    given I of (f, g) as ``i_value`` or, without it, computing I once
+    after the checks."""
+    margins = np.array([finite_positive("eps", e) for e in eps])
     if g.monotonicity not in ("increasing", "decreasing"):
         raise NotMonotoneError(
             f"the bound needs a strictly monotone pdf for g; "
             f"family '{g.family}' is flagged '{g.monotonicity}'"
         )
-    i_val = inaccuracy(f, g)
-    if math.isinf(i_val.value):
+    if i_value is None:
+        i_value = inaccuracy(f, g).value
+    if math.isinf(i_value):
         raise InvalidParameterError(
             "inaccuracy of (f, g) is infinite; the bound is undefined"
         )
@@ -83,7 +92,7 @@ def chebyshev_bound(f: Density, g: Density, eps) -> BoundResult | list[BoundResu
     k = margins.size
     # P(g(X) <= e^log_z) at the k lower levels, P(g(X) >= e^log_z) at
     # the k upper ones.
-    log_z = np.concatenate([-margins - i_val.value, margins - i_val.value])
+    log_z = np.concatenate([-margins - i_value, margins - i_value])
     le = np.arange(2 * k) < k
     if math.isinf(hi_r) and np.any(log_z[k:] > _LOG_FLOAT_MAX):
         raise OutOfRangeError(
@@ -98,7 +107,7 @@ def chebyshev_bound(f: Density, g: Density, eps) -> BoundResult | list[BoundResu
         # For a decreasing g, X <= x is g(X) >= z.
         decreasing = g.monotonicity == "decreasing"
         prob[inside] = np.where(le[inside] == decreasing, 1.0 - c, c)
-    results = [
+    return [
         # Classify with a hair of slack so exact branch boundaries (where
         # the upper threshold equals sup g) label the same way as the
         # closed forms.
@@ -110,7 +119,6 @@ def chebyshev_bound(f: Density, g: Density, eps) -> BoundResult | list[BoundResu
         )
         for j, e in enumerate(margins.tolist())
     ]
-    return results if many else results[0]
 
 
 def exp_pair_bound(lam: float, eta: float, eps: float) -> BoundResult:

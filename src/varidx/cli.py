@@ -18,13 +18,14 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import datasets, errors
-from .bounds import chebyshev_bound, exp_pair_bound, uniform_power_bound
+from .bounds import _generic_bounds, exp_pair_bound, uniform_power_bound
 from .distributions import (
     _FAMILIES,
     Exponential,
@@ -40,6 +41,7 @@ from .estimation import fit_binomial_p, fit_lognormal_mle, fit_weibull_mle, kde
 from .measures import info_moments, kl, var_kl
 
 # Not called here; bench/tracing.py wraps these names on this module.
+from .bounds import chebyshev_bound  # noqa: F401
 from .measures import (  # noqa: F401
     entropy,
     entropy_pmf,
@@ -152,30 +154,46 @@ def _parse_float_list(text: str, what: str) -> list[float]:
     return out
 
 
+_BLOCK_BYTES = 1 << 14
+_COMMENT = re.compile(r"#[^\n]*")
+
+
 def _load_values(source: str) -> list[float]:
     """Numbers from a bundled dataset or a text file.
 
     Files hold one value per line or comma/whitespace separated values;
-    ``#`` starts a comment.  Malformed numbers report their line.
+    ``#`` starts a comment.  The file is parsed in blocks of about
+    ``_BLOCK_BYTES`` of whole lines; a block with a malformed number is
+    read again line by line, so the error names the number's line.
     """
     if source in datasets.names():
         return [float(v) for v in datasets.load(source)]
     values: list[float] = []
+    first = 1
     with open(source, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            for token in body.replace(",", " ").split():
-                try:
-                    values.append(float(token))
-                except ValueError:
-                    raise SpecParseError(
-                        f"{source}:{lineno}: malformed number '{token}'"
-                    ) from None
+        while lines := fh.readlines(_BLOCK_BYTES):
+            text = _COMMENT.sub("", "".join(lines)).replace(",", " ")
+            try:
+                values += map(float, text.split())
+            except ValueError:
+                _raise_malformed(source, lines, first)
+            first += len(lines)
     if not values:
         raise SpecParseError(f"{source}: no numeric data found")
     return values
+
+
+def _raise_malformed(source: str, lines: list[str], first: int):
+    """SpecParseError naming the first malformed number among ``lines``,
+    the first of which is line ``first`` of ``source``."""
+    for lineno, line in enumerate(lines, start=first):
+        for token in line.split("#", 1)[0].replace(",", " ").split():
+            try:
+                float(token)
+            except ValueError:
+                raise SpecParseError(
+                    f"{source}:{lineno}: malformed number '{token}'"
+                ) from None
 
 
 def _fmt(value: float, precision: int) -> str:
@@ -286,10 +304,11 @@ def cmd_curves(args) -> int:
 # ----------------------------------------------------------------------
 
 def _bound_grid(f, gs, eps_list):
-    """VarI of (f, g) and its generic bounds at every margin, per g."""
+    """VarI of (f, g) and its generic bounds at every margin, per g, from
+    one record per g."""
     records = info_moments(f, gs)
     return [
-        (r.VarI.value, chebyshev_bound(f, g, eps_list)) for g, r in zip(gs, records)
+        (r.VarI.value, _generic_bounds(f, g, eps_list, r.I.value)) for g, r in zip(gs, records)
     ]
 
 

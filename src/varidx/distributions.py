@@ -45,11 +45,12 @@ __all__ = [
 ]
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-# KernelDensity sums the kernels within _WINDOW bandwidths of a point,
-# at most _BLOCK_TERMS (point, kernel) terms at a time: 64 KB per
-# temporary, below glibc's default mmap threshold (128 KB), so repeated
-# calls reuse heap memory instead of mapping and faulting in fresh pages.
-_WINDOW = 9.0
+# KernelDensity sums the kernels within 9 bandwidths of a point, i.e.
+# within _SCALED_WINDOW of it in units of h sqrt 2, at most _BLOCK_TERMS
+# (point, kernel) terms at a time: 64 KB per temporary, below glibc's
+# default mmap threshold (128 KB), so repeated calls reuse heap memory
+# instead of mapping and faulting in fresh pages.
+_SCALED_WINDOW = 9.0 / math.sqrt(2.0)
 _BLOCK_TERMS = 8192
 
 _erfc = np.vectorize(math.erfc, otypes=[float])
@@ -114,8 +115,10 @@ class Density:
         """``hook`` at the points of ``x`` inside the support, ``outside``
         elsewhere."""
         lo, hi = self.support
-        out = np.full(x.shape, outside)
         m = (x > lo) & (x < hi)
+        if m.all():
+            return hook(x)
+        out = np.full(x.shape, outside)
         if m.any():
             out[m] = hook(x[m])
         return out
@@ -341,13 +344,16 @@ class Lognormal(Density):
 class KernelDensity(Density):
     """Gaussian-kernel mixture renormalized to a finite reported interval.
 
-    The centres are sorted, so the kernel sums at a point run only over
-    the window of centres within 9 bandwidths of it, found by
-    ``searchsorted``; kernels further out are 0 in the pdf and 0 or 1 in
-    the cdf.  Each kernel left out weighs less than phi(9) = 1.03e-18 of
-    a unit kernel, so the pdf differs from the full n-term mixture by
-    less than phi(9) / h and the cdf by less than phi(9), in absolute
-    terms.
+    The centres c are sorted and stored once more pre-scaled, as
+    c / (h sqrt 2), and every point q is scaled alike, so both kernels
+    take the scaled difference d = (q - c) / (h sqrt 2) as it is:
+    exp(-d^2) for the pdf and erfc(-d) / 2 for the cdf.  The sums at a
+    point run only over the window of centres within 9 bandwidths of it,
+    |d| <= 9 / sqrt 2 in scaled units, found by ``searchsorted``;
+    kernels further out are 0 in the pdf and 0 or 1 in the cdf.  Each
+    kernel left out weighs less than phi(9) = 1.03e-18 of a unit kernel,
+    so the pdf differs from the full n-term mixture by less than
+    phi(9) / h and the cdf by less than phi(9), in absolute terms.
     """
 
     family = "kde"
@@ -364,6 +370,8 @@ class KernelDensity(Density):
         self.points = pts
         self.points.setflags(write=False)
         self.bandwidth = bandwidth
+        self._unit = bandwidth * math.sqrt(2.0)
+        self._scaled = pts / self._unit
         self._cdf_lo = float(self._mix_cdf(np.array([lo]))[0])
         mass = float(self._mix_cdf(np.array([hi]))[0]) - self._cdf_lo
         if mass <= 0.0:
@@ -371,8 +379,9 @@ class KernelDensity(Density):
         self._mass = mass
 
     def _window_sums(self, x, kernel, below: bool):
-        """Per point q of x, the sum of kernel(q - c) over the centres c in
-        its window, plus (if ``below``) the count of centres below it.
+        """Per point q of x, the sum of kernel(d) over the centres c in
+        its window, d being their scaled difference, plus (if ``below``)
+        the count of centres below it.
 
         The points are taken in ascending order, in blocks of rows whose
         union of windows spans at most ``_BLOCK_TERMS`` (point, centre)
@@ -381,12 +390,12 @@ class KernelDensity(Density):
         own window has a cdf term of exactly 1).  ``kernel`` may
         overwrite its argument.
         """
-        pts, h = self.points, self.bandwidth
-        flat = x.ravel()
+        pts = self._scaled
+        flat = x.ravel() / self._unit
         order = flat.argsort(kind="stable")
         xs = flat[order]
-        left = pts.searchsorted(xs - _WINDOW * h)
-        right = pts.searchsorted(xs + _WINDOW * h)
+        left = pts.searchsorted(xs - _SCALED_WINDOW)
+        right = pts.searchsorted(xs + _SCALED_WINDOW)
         sums = np.zeros(xs.size)
         i = 0
         while i < xs.size:
@@ -409,21 +418,18 @@ class KernelDensity(Density):
         return out.reshape(x.shape)
 
     def _mix_pdf(self, x):
-        h = self.bandwidth
-
         def kernel(d):
-            d /= h
             np.square(d, out=d)
-            d *= -0.5
+            np.negative(d, out=d)
             return np.exp(d, out=d)
 
         with np.errstate(under="ignore"):
             sums = self._window_sums(x, kernel, False)
-        return sums / (self.points.size * h * math.sqrt(2.0 * math.pi))
+        return sums / (self.points.size * self.bandwidth * math.sqrt(2.0 * math.pi))
 
     def _mix_cdf(self, x):
-        h = self.bandwidth
-        return self._window_sums(x, lambda d: _norm_cdf(d / h), True) / self.points.size
+        sums = self._window_sums(x, lambda d: 0.5 * _erfc(-d), True)
+        return sums / self.points.size
 
     def _log_pdf(self, x):
         with np.errstate(divide="ignore"):
@@ -434,7 +440,12 @@ class KernelDensity(Density):
 
 
 class Pushforward(Density):
-    """Law of phi(X) for a strictly monotone differentiable map phi."""
+    """Law of phi(X) for a strictly monotone differentiable map phi.
+
+    Pointwise calls pull x back through phi_inv; the information
+    moments of :mod:`varidx.measures` are integrated in the base's own
+    variable instead, with no pull-back.
+    """
 
     family = "pushforward"
 

@@ -27,22 +27,32 @@ Each field carries its evaluation route:
 - ``quadrature``: one adaptive quadrature per reference f, of the rows
   [1, a, a^2] and, for each g that still lacks a field,
   [b, b^2, a - b, (a - b)^2], on the support common to f and those g.
-  log f and each log g are evaluated once per node, the pdf is taken as
-  exp(a), and every row converges against its own goal.  On a support
-  (0, hi) the nodes are u = log x on (-inf, log hi), with x = e^u and
-  the weight p(x) x du: the x^(alpha-1) log x factors of power-type
-  laws at 0 become exponential tails in u, which the quadrature's
-  map of infinite ends integrates in a few panels, instead of
-  singularities that bisection can only approach; with hi = inf, u
-  runs over the whole line.  A node whose e^u rounds to 0, hi
-  or inf lies outside f's open support and adds an exact 0, so mass
-  below the smallest float is not integrated, and ends in an error
-  rather than in moments.  The quadrature runs only when a field is
-  still missing and fills only those fields; cov = (VarH + VarI -
-  VarK) / 2, so both identities hold to rounding.
-  The first row is f's mass: a quadrature that did not see all of it
-  raises QuadratureConvergenceError instead of returning moments of
-  part of f.
+  log f and each log g are evaluated once per node, the weight is the
+  exp of a log-density already at hand, and every row converges against
+  its own goal.  The nodes run over one of three variables:
+
+  - a pushforward f = phi # B (the log-domain kde among them) is
+    integrated in B's own variable y, with log f(phi(y)) = log B(y) -
+    log|phi'(y)| and the weight B(y) dy, so f is never pulled back
+    through phi^-1; y in turn takes B's own case, and a support that g
+    narrows maps onto y through phi^-1;
+  - on a support (0, hi), u = log x on (-inf, log hi), with x = e^u
+    and the weight p(x) x du: the x^(alpha-1) log x factors of
+    power-type laws at 0 become exponential tails in u, which the
+    quadrature's map of infinite ends integrates in a few panels,
+    instead of singularities that bisection can only approach; with
+    hi = inf, u runs over the whole line;
+  - any other law is integrated in x itself.
+
+  A node whose x rounds onto an end of the support, or beyond it, adds
+  an exact 0, so mass below the smallest float is not integrated, and
+  ends in an error rather than in moments.  A non-finite integrand is
+  an error too, which names its panel in x.  The quadrature runs only
+  when a field is still missing and fills only those fields; cov =
+  (VarH + VarI - VarK) / 2, so both identities hold to rounding.
+  The first row is f's mass: a quadrature that did not see all of it,
+  within tol or the row's own estimate, raises
+  QuadratureConvergenceError instead of returning moments of part of f.
 - ``summation``: a pair of FinitePMF values, summed in one pass.
 - ``divergent``: f has mass where g vanishes, which is screened before
   integrating, so such a g adds no rows.  I, VarI, K, VarK and cov are
@@ -75,6 +85,7 @@ from .distributions import (
     FinitePMF,
     Lognormal,
     Power,
+    Pushforward,
     Uniform,
     Weibull2,
 )
@@ -107,13 +118,13 @@ __all__ = [
 ]
 
 _NEG_CLAMP = 1e-9
+# Mass of f outside the common support that counts as none.  f's mass,
+# integrated as the first row, may miss 1 by at most this plus the
+# larger of tol and the row's own error estimate (so a loose tol cannot
+# trip the check, and a tight one sees a small missed bump); a larger
+# gap means the nodes missed part of f (a kde narrower than the panels),
+# which skews every moment alike.
 _MASS_TOL = 1e-12
-# f's mass, integrated as a seventh row, may miss 1 by at most this or
-# the row's own error estimate (so a loose tol cannot trip the check).
-# Mass outside the common support is at most _MASS_TOL and the default
-# tol is 1e-9; a larger gap means the nodes missed part of f (a kde
-# narrower than the panels), which skews every moment alike.
-_MASS_CHECK = 1e-6
 # Relative convergence floor for the underlying quadrature: paper-scale
 # values are governed by the absolute tolerance, while extreme parameter
 # ratios (second moments of order 1e8 and beyond) stay computable.
@@ -418,12 +429,12 @@ def _integrated(f: Density, gs: list, own: dict, closed, tol: float):
 
     A plan is None when f diverges from g, else g's closed-form fields
     and the index of its first row (None when it needs no rows).  The
-    rows are p * [1, a, a^2], p = f's pdf and a = log p, and
-    p * [b, b^2, c, c^2] for each g that still lacks a field, b = log g
-    and c = a - b, integrated by one quadrature on the support common to
-    f and those g (in u = log x when it starts at 0).  ``own`` holds f's
-    closed-form H and VarH; with both of them and no rows to add,
-    nothing is integrated (None, None).
+    rows are p * [1, a, a^2], a = log f and p = f dx/dv the weight in
+    the variable v that :func:`_variable` gives, and p * [b, b^2, c,
+    c^2] for each g that still lacks a field, b = log g and c = a - b,
+    integrated by one quadrature on the support common to f and those
+    g.  ``own`` holds f's closed-form H and VarH; with both of them and
+    no rows to add, nothing is integrated (None, None).
     """
     lo, hi = f.support
     plans = []
@@ -442,22 +453,18 @@ def _integrated(f: Density, gs: list, own: dict, closed, tol: float):
         plans.append((known, row))
     if len(own) == 2 and not row_gs:
         return plans, None, None
-    # On (0, hi) the nodes are u = log x (see the module docstring).
-    log_map = lo == 0.0
-    ends = (-math.inf, math.log(hi)) if log_map else (lo, hi)
+    ends, x_of, weigh = _variable(f, lo, hi)
 
-    def rows(u):
-        out = np.zeros((3 + 4 * len(row_gs), u.size))
+    def rows(v):
+        out = np.zeros((3 + 4 * len(row_gs), v.size))
         # e^u may overflow, and so may a law on its way to a 0 density.
         with np.errstate(over="ignore"):
-            x = np.exp(u) if log_map else u
-            a = f.log_pdf(x)
-            p = np.exp(a)
-            m = p > 0.0
+            x, a, p = weigh(v)
+            # A node whose x rounds onto an end of (lo, hi) lies outside
+            # the open support and adds an exact 0, as one where p is 0.
+            m = (p > 0.0) & (x > lo) & (x < hi)
             if np.any(m):
                 a, p, xm = a[m], p[m], x[m]
-                if log_map:
-                    p = p * xm  # dx = x du
                 block = [np.ones_like(a), a, a * a]
                 for g in row_gs:
                     b = a if g is f else g.log_pdf(xm)
@@ -471,22 +478,66 @@ def _integrated(f: Density, gs: list, own: dict, closed, tol: float):
             rows, *ends, tol, _REL_TOL, quadrature.MAX_PANELS
         )
     except quadrature._NonFinite as exc:
-        if not log_map:
-            raise
-        # Name the panel in x = e^u, not in u.
-        with np.errstate(over="ignore"):
-            x = np.exp(np.array(exc.panel))
-        raise quadrature._NonFinite(*(float(v) for v in x)) from None
+        # Name the panel in x, not in the quadrature's variable.
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            x = x_of(np.array(exc.panel, dtype=float))
+        raise quadrature._NonFinite(*sorted(float(v) for v in x)) from None
     mass = float(value[0])
-    if not abs(mass - 1.0) <= max(_MASS_CHECK, float(error[0])):
+    if not abs(mass - 1.0) <= max(tol, float(error[0])) + _MASS_TOL:
         raise QuadratureConvergenceError(
             f"quadrature did not see all of f's mass: it integrated "
-            f"{mass:.6g} on ({lo:g}, {hi:g})",
+            f"{mass:.6g} on ({lo:g}, {hi:g}), {abs(mass - 1.0):.3g} away from 1",
             value=value,
             abs_error_estimate=error,
             subdivisions=panels,
         )
     return plans, value, error
+
+
+def _variable(d: Density, lo: float, hi: float):
+    """The variable v in which d's rows are integrated over (lo, hi):
+    a pushforward's base variable, log x on (0, hi), or x (see the
+    module docstring).
+
+    Returns (ends, x_of, weigh): the ends of v's interval, x as a
+    function of v, and weigh(v) = (x, log d(x), d(x) dx/dv) at the
+    nodes.  For d = phi # B, (lo, hi) maps onto B's variable through
+    phi^-1, its ends swapped for a decreasing phi.
+    """
+    if isinstance(d, Pushforward):
+        base = d.base
+        if (lo, hi) == d.support:
+            ylo, yhi = base.support
+        else:
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                ylo, yhi = sorted(float(y) for y in d.phi_inv(np.array([lo, hi])))
+            ylo, yhi = max(ylo, base.support[0]), min(yhi, base.support[1])
+        ends, y_of, base_weigh = _variable(base, ylo, yhi)
+
+        def weigh(v):
+            y, a, p = base_weigh(v)
+            # A y that rounds onto an end of B's support has B(y) = 0,
+            # and its node is dropped whatever phi makes of it.
+            with np.errstate(divide="ignore", invalid="ignore"):
+                a = a - np.log(np.abs(np.asarray(d.phi_deriv(y), dtype=float)))
+                return np.asarray(d.phi(y), dtype=float), a, p
+
+        return ends, lambda v: d.phi(y_of(v)), weigh
+    if lo == 0.0:
+
+        def weigh(u):
+            x = np.exp(u)
+            a = d.log_pdf(x)
+            p = np.exp(a)
+            return x, a, np.multiply(p, x, out=p, where=p > 0.0)
+
+        return (-math.inf, math.log(hi)), np.exp, weigh
+
+    def weigh(x):
+        a = d.log_pdf(x)
+        return x, a, np.exp(a)
+
+    return (lo, hi), (lambda x: x), weigh
 
 
 def _summed(P: FinitePMF, Qs: list):

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from varidx.bounds import chebyshev_bound
-from varidx.cli import DistSpec, _parse_grid, main, parse_dist_spec
+from varidx import cli, measures
+from varidx.cli import DistSpec, _load_values, _parse_grid, main, parse_dist_spec
 from varidx.distributions import Exponential, Power, Uniform
 from varidx.errors import SpecParseError
 from varidx.measures import info_moments
@@ -294,6 +295,23 @@ class TestBoundsCommand:
         expected = {"exp": [0.0, 0.0], "power": [0.0, 4.50912973432e-169]}[pair]
         assert [row[2] for row in rows] == expected
 
+    @pytest.mark.parametrize("pair", ["exp", "power"])
+    def test_one_record_per_pair(self, capsys, monkeypatch, pair):
+        # The bounds read I off the records that give VarI: one
+        # info_moments call for the whole grid, none per bound.
+        calls = []
+        inner = measures.info_moments
+
+        def counted(f, g, *args, **kwargs):
+            calls.append(f)
+            return inner(f, g, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "info_moments", counted)
+        monkeypatch.setattr(measures, "info_moments", counted)
+        grid = "0.5:8:0.5" if pair == "exp" else "1.25:5:0.25"
+        code, _, _ = run(capsys, "bounds", "--pair", pair, "--grid", grid)
+        assert code == 0 and len(calls) == 1
+
     def test_tiny_eps_column_vanishes(self, capsys):
         code, out, _ = run(
             capsys, "bounds", "--pair", "exp", "--eps", "1e-6", "--grid", "1:2:0.5"
@@ -338,6 +356,39 @@ def test_grid_csv_matches_pointwise_calls(capsys, command, pair, grid, header):
     rows = [pointwise_row(command, pair, x) for x in _parse_grid(grid)]
     lines = [",".join(f"{v:.12g}" for v in row) for row in rows]
     assert out == "\n".join([header] + lines) + "\n"
+
+
+def _messy_data(seed):
+    """Numbers in every layout a data file allows, with CRLF endings."""
+    rng = np.random.default_rng(seed)
+    lines = []
+    for i, v in enumerate(rng.lognormal(2.0, 0.7, 4000).tolist()):
+        kind = i % 6
+        lines.append(
+            [
+                repr(v),
+                f"{v:.6g}, {v * 2:.3e},{v / 3!r}",
+                f"  {v:g}\t{v + 1:g}  # trailing, 9.9",
+                "# a comment line, 1.0",
+                "",
+                f"{v:.4f},",
+            ][kind]
+        )
+    return "\r\n".join(lines) + "\r\n"
+
+
+def _load_lines(source):
+    """The parse of a data file one line at a time."""
+    values = []
+    with open(source, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            body = line.split("#", 1)[0].strip()
+            for token in body.replace(",", " ").split():
+                try:
+                    values.append(float(token))
+                except ValueError:
+                    raise SpecParseError(f"{source}:{lineno}: malformed number '{token}'") from None
+    return values
 
 
 class TestFitCommand:
@@ -416,6 +467,31 @@ class TestFitCommand:
         assert code == 2
         assert ":3:" in err and "bogus" in err
 
+    def test_blocks_parse_as_lines(self, tmp_path):
+        path = tmp_path / "values.txt"
+        path.write_bytes(_messy_data(seed=5).encode())
+        assert path.stat().st_size > 3 * (1 << 14)
+        values = _load_values(str(path))
+        assert len(values) > 3000 and values == _load_lines(str(path))
+
+    def test_malformed_number_past_the_first_block_reports_line(self, tmp_path):
+        lines = _messy_data(seed=6).split("\r\n")
+        lines[2500] = "1.5, 2.x # trailing"
+        path = tmp_path / "bad.txt"
+        path.write_text("\n".join(lines))
+        with pytest.raises(SpecParseError) as info:
+            _load_values(str(path))
+        assert str(info.value) == f"{path}:2501: malformed number '2.x'"
+        with pytest.raises(SpecParseError) as oracle:
+            _load_lines(str(path))
+        assert str(info.value) == str(oracle.value)
+
+    def test_comments_only_file_has_no_data(self, tmp_path):
+        path = tmp_path / "empty.txt"
+        path.write_text("# header\n\n  # 1.5, 2.5\n" * 2000)
+        with pytest.raises(SpecParseError, match="no numeric data found"):
+            _load_values(str(path))
+
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_non_finite_counts_exit_code(self, capsys, tmp_path, bad):
         path = tmp_path / "counts.txt"
@@ -436,7 +512,7 @@ class TestFitCommand:
         cand = {c["label"]: c for c in payload["candidates"]}["uniform:0.0,50.0"]
         assert cand["K"] == "inf" and cand["VarK"] == "inf"
 
-    @pytest.mark.parametrize("bandwidth,mass", [("1e-3", "0.9"), ("1e-6", "0")])
+    @pytest.mark.parametrize("bandwidth,mass", [("1e-3", "2.02495e-17"), ("1e-6", "0")])
     def test_kde_narrower_than_panels_is_an_error(self, capsys, bandwidth, mass):
         # Kernels narrower than the quadrature panels were missed, giving a
         # confident K of 3.24 (about 3.58 is right) or K = VarK = 0.

@@ -10,14 +10,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from varidx import datasets
 from varidx.distributions import (
+    _LOG_SQRT_2PI,
+    Density,
     Exponential,
     FinitePMF,
     KernelDensity,
     Lognormal,
     Power,
+    SampleData,
     Uniform,
     Weibull2,
+    make_distribution,
     make_pmf,
     push_forward,
     sample,
@@ -31,6 +36,7 @@ from varidx.errors import (
     SupportMismatchError,
 )
 from varidx import quadrature
+from varidx.estimation import fit_lognormal_mle, fit_weibull_mle, kde
 from varidx.measures import (
     _psi,
     InfoMoments,
@@ -692,6 +698,13 @@ class TestInfoMoments:
         loose = info_moments(Power(0.3), Weibull2(0.5, 1.0), method="quadrature", tol=0.1)
         assert abs(loose.H.value - entropy(Power(0.3)).value) <= 0.1
 
+    def test_small_missed_bump_is_an_error(self):
+        # The mass check's slack follows tol: a far bump of mass 5e-7,
+        # which the nodes miss, would skew H by about 1e-5 while its
+        # estimate reads 2e-11.
+        with pytest.raises(QuadratureConvergenceError, match="5e-07 away from 1"):
+            entropy(_FarBump(5e-7))
+
     def test_heavy_tail_emits_no_warning(self):
         # Tail nodes at t = 1 map to x = inf, which carries no mass.
         with warnings.catch_warnings():
@@ -728,6 +741,143 @@ class TestInfoMoments:
         terms = [abs(v.value) for v in (r.VarH, r.VarI, r.VarK, r.cov)]
         resid = r.VarK.value - (r.VarH.value + r.VarI.value - 2.0 * r.cov.value)
         assert abs(resid) <= 1e-12 * max(1.0, *terms)
+
+
+class _FarBump(Density):
+    """N(0, 1) with mass w moved into a narrow normal bump at 200."""
+
+    def __init__(self, w):
+        super().__init__((w,), (-math.inf, math.inf), "neither")
+        self.w = w
+
+    def _log_pdf(self, x):
+        z = (x - 200.0) / 0.05
+        near = math.log1p(-self.w) - 0.5 * x * x
+        far = math.log(self.w / 0.05) - 0.5 * z * z
+        return np.logaddexp(near, far) - _LOG_SQRT_2PI
+
+
+class _InX(Density):
+    """A law integrated in x as any law without a variable of its own:
+    the pointwise route, through log_pdf, that the pushforward's own
+    variable replaces."""
+
+    def __init__(self, law):
+        super().__init__((), law.support, "unknown")
+        self.law = law
+
+    def _log_pdf(self, x):
+        return self.law.log_pdf(x)
+
+    def _cdf(self, x):
+        return self.law.cdf(x)
+
+
+def _panel_counts(monkeypatch):
+    """The panel count of every quadrature from here on."""
+    panels = []
+    inner = quadrature._integrate_vector
+
+    def counted(*args):
+        value, error, n = inner(*args)
+        panels.append(n)
+        return value, error, n
+
+    monkeypatch.setattr(quadrature, "_integrate_vector", counted)
+    return panels
+
+
+def _fitted(values):
+    data = SampleData(values)
+    fits = [fit_weibull_mle(data), fit_lognormal_mle(data)]
+    return [make_distribution(r.family, r.params) for r in fits] + [Weibull2(1.6, 0.0127)]
+
+
+def _stratified_weibull(n, seed):
+    """One Weibull2(1.5487, 0.0166) draw per probability stratum
+    (i + U_i) / (n + 2), i = 1..n."""
+    shape, rate = 1.5487, 0.0166
+    rng = np.random.default_rng(seed)
+    u = (np.arange(1, n + 1) + rng.random(n)) / (n + 2)
+    return (-np.log1p(-u) / rate) ** (1.0 / shape)
+
+
+def _assert_within_estimate(new, old):
+    """Every field of the records ``new`` matches ``old`` within new's
+    own error estimate."""
+    for name in FIELDS:
+        a, b = getattr(new, name), getattr(old, name)
+        assert abs(a.value - b.value) <= a.abs_error_estimate, (name, a, b)
+
+
+class TestPushforwardInBaseVariable:
+    """A pushforward phi # B is integrated in B's own variable."""
+
+    @pytest.mark.parametrize("bandwidth", [None, 0.1, 1.0])
+    def test_murthy41_kde_matches_the_x_route(self, bandwidth):
+        values = datasets.load("murthy41")
+        f, gs = kde(SampleData(values), bandwidth), _fitted(values)
+        for new, old in zip(info_moments(f, gs), info_moments(_InX(f), gs)):
+            _assert_within_estimate(new, old)
+
+    def test_large_kde_matches_the_x_route(self):
+        values = _stratified_weibull(10_000, 3)
+        f, gs = kde(SampleData(values)), _fitted(values)
+        for new, old in zip(info_moments(f, gs), info_moments(_InX(f), gs)):
+            _assert_within_estimate(new, old)
+
+    def test_murthy41_fit_takes_few_panels(self, monkeypatch):
+        values = datasets.load("murthy41")
+        f, gs = kde(SampleData(values)), _fitted(values)[:2]
+        panels = _panel_counts(monkeypatch)
+        info_moments(f, gs)
+        assert panels == [panels[0]] and panels[0] <= 9
+
+    def test_exp_of_uniform(self, monkeypatch):
+        # X = e^U, U ~ Uniform(0, 80): H = log 80 + E[U] and VarH = Var U.
+        f = push_forward(Uniform(0.0, 80.0), np.exp, np.log, np.exp)
+        g = Lognormal(40.0, 23.0)
+        panels = _panel_counts(monkeypatch)
+        new = info_moments(f, g)
+        assert panels[0] <= 10
+        assert abs(new.H.value - (math.log(80.0) + 40.0)) <= new.H.abs_error_estimate
+        assert abs(new.VarH.value - 6400.0 / 12.0) <= new.VarH.abs_error_estimate
+        _assert_within_estimate(new, info_moments(_InX(f), g))
+
+    def test_decreasing_map(self):
+        # 1 / Y for Y ~ Lognormal(0.3, 0.5) is Lognormal(-0.3, 0.5).
+        def law(mu, sigma):
+            y = Lognormal(mu, sigma)
+            return push_forward(y, lambda y: 1.0 / y, lambda x: 1.0 / x, lambda y: -1.0 / (y * y))
+
+        g = Weibull2(1.6, 0.8)
+        _assert_within_estimate(info_moments(law(0.3, 0.5), g), info_moments(Lognormal(-0.3, 0.5), g))
+        # A g that narrows the support maps onto (1/10, inf) in y.
+        g = Uniform(0.0, 10.0)
+        _assert_within_estimate(info_moments(law(0.0, 0.1), g), info_moments(Lognormal(0.0, 0.1), g))
+
+    def test_square_root_of_a_weibull(self):
+        # sqrt(Y) for Y ~ Weibull2(1.6, 0.8) is Weibull2(3.2, 0.8); the
+        # base lives on (0, inf), so it is integrated in log y.
+        f = push_forward(Weibull2(1.6, 0.8), np.sqrt, np.square, lambda y: 0.5 / np.sqrt(y))
+        for g in (Lognormal(0.0, 0.6), Exponential(2.0)):
+            new = info_moments(f, g)
+            _assert_within_estimate(new, info_moments(_InX(f), g))
+            _assert_within_estimate(new, info_moments(Weibull2(3.2, 0.8), g))
+
+    def test_non_finite_integrand_names_its_panel_in_x(self):
+        # Half of Power(1e-3)'s mass lies below the smallest float; the
+        # panel of the base, (0, 1.19e-222), is (0, 2.38e-222) in x = 2y.
+        def doubled(base):
+            return push_forward(base, lambda y: 2.0 * y, lambda x: 0.5 * x, lambda y: np.full_like(y, 2.0))
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(Error) as info:
+                info_moments(doubled(Power(1e-3)), doubled(Power(2.0)))
+        found = re.search(r"inside \((\S+), (\S+)\)", str(info.value))
+        lo, hi = float(found[1]), float(found[2])
+        assert lo == 0.0 and 2e-222 < hi < 1e-200, str(info.value)
 
 
 class TestTable:
