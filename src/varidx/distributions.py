@@ -507,9 +507,18 @@ class Pushforward(Density):
 
     def _log_pdf(self, x):
         u = self._pull_back(x)
-        return self.base.log_pdf(u) - np.log(
-            np.abs(np.asarray(self.phi_deriv(u), float))
-        )
+        # The user's phi_deriv may overflow or underflow far in a tail,
+        # where log|phi'| would turn a finite log-density into +-inf.
+        with np.errstate(all="ignore"):
+            slope = np.broadcast_to(np.abs(np.asarray(self.phi_deriv(u), float)), u.shape)
+        bad = ~(slope > 0.0) | (slope == math.inf)
+        if np.any(bad):
+            i = int(np.argmax(bad))
+            raise OutOfRangeError(
+                f"|phi_deriv(phi_inv(x))| is {float(slope[i])!r} at x = {float(x[i])!r}, so "
+                "the log-density there is out of float range"
+            )
+        return self.base.log_pdf(u) - np.log(slope)
 
     def _cdf(self, x):
         u = self._pull_back(x)
@@ -692,8 +701,7 @@ class SampleData:
     """Ordered list of real observations with cached summary statistics.
 
     ``variance`` uses the n-1 divisor and is 0.0 for a single
-    observation; ``log_mean`` is None unless all observations are
-    strictly positive.
+    observation.
     """
 
     def __init__(self, values):
@@ -707,7 +715,6 @@ class SampleData:
         self.n = int(arr.size)
         self.mean = float(arr.mean())
         self.variance = float(arr.var(ddof=1)) if self.n >= 2 else 0.0
-        self.log_mean = float(np.log(arr).mean()) if np.all(arr > 0.0) else None
 
     def __len__(self):
         return self.n

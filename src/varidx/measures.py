@@ -5,10 +5,16 @@ b = log g(X) under X ~ f: H and VarH are the mean and variance of -a,
 I and VarI those of -b, K and VarK those of a - b, and
 cov = cov_f(a, b).  :func:`info_moments` computes all seven as one
 :class:`InfoMoments` record, and is the only place that integrates,
-sums or looks up a closed form; `entropy`, `kl` and the other measure
-functions each read one field of it (`entropy(f)` is the record of
-(f, f)).  Given several g for one reference f (the candidates of a
-selection), it returns one record per g from at most one quadrature.
+sums or looks up a closed form.  It is also the only function that
+takes options: ``method`` and ``tol``.  The readers `entropy`,
+`varentropy`, `inaccuracy`, `varinaccuracy`, `kl`, `var_kl` and
+`log_log_cov` take none; each reads one field of the record on the
+default route (`entropy(f)` is the record of (f, f)), for a
+:class:`~varidx.distributions.Density` or a
+:class:`~varidx.distributions.FinitePMF` pair alike, and each `*_pmf`
+name is the same function as its reader.  Given several g for one
+reference f (the candidates of a selection), `info_moments` returns one
+record per g from at most one quadrature.
 Each field carries its evaluation route:
 
 - ``closed_form``: one table of sufficient statistics.  Under an
@@ -60,8 +66,9 @@ Each field carries its evaluation route:
   answer that the selection layer treats as disqualifying; H and VarH
   stay f's own.
 
-`method="quadrature"` skips the closed forms so both routes stay
-testable.
+`info_moments(f, g, method="quadrature")` skips the closed forms, so
+every field of a continuous pair that does not diverge comes from the
+quadrature and both routes stay testable.
 
 Conventions: 0 * log 0 = 0 and 0 * log(0/0) = 0 in all sums; regions
 where the reference density vanishes contribute nothing to integrals;
@@ -125,10 +132,6 @@ _NEG_CLAMP = 1e-9
 # gap means the nodes missed part of f (a kde narrower than the panels),
 # which skews every moment alike.
 _MASS_TOL = 1e-12
-# Relative convergence floor for the underlying quadrature: paper-scale
-# values are governed by the absolute tolerance, while extreme parameter
-# ratios (second moments of order 1e8 and beyond) stay computable.
-_REL_TOL = 1e-12
 # The fields of a pair beyond f's own H and VarH that the closed forms
 # or the quadrature supply; cov is derived when no closed form gives it.
 _PAIR = frozenset(("I", "VarI", "K", "VarK"))
@@ -474,9 +477,7 @@ def _integrated(f: Density, gs: list, own: dict, closed, tol: float):
         return out
 
     try:
-        value, error, panels = quadrature._integrate_vector(
-            rows, *ends, tol, _REL_TOL, quadrature.MAX_PANELS
-        )
+        value, error, panels = quadrature._integrate_vector(rows, *ends, tol)
     except quadrature._NonFinite as exc:
         # Name the panel in x, not in the quadrature's variable.
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -577,85 +578,56 @@ def _from_moments(value, error, route: str) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Continuous measures
+# Readers: one field of the record each
 # ----------------------------------------------------------------------
 
-def entropy(f: Density, method: str = "auto", tol: float = quadrature.DEFAULT_TOL) -> MeasureValue:
-    """Average information content E_f[-log f(X)]."""
-    return info_moments(f, f, method, tol).H
+def entropy(f: Density | FinitePMF) -> MeasureValue:
+    """Average information content E_f[-log f(X)]; -sum P log P with
+    0 log 0 = 0 for a pmf."""
+    return info_moments(f, f).H
 
 
-def varentropy(f: Density, method: str = "auto", tol: float = quadrature.DEFAULT_TOL) -> MeasureValue:
+def varentropy(f: Density | FinitePMF) -> MeasureValue:
     """Dispersion of the information content: Var_f[-log f(X)].
 
     Vanishes exactly when f is uniform on its support; equals 1 for
     every exponential law.
     """
-    return info_moments(f, f, method, tol).VarH
+    return info_moments(f, f).VarH
 
 
-def inaccuracy(f: Density, g: Density, method: str = "auto", tol: float = quadrature.DEFAULT_TOL) -> MeasureValue:
+def inaccuracy(f: Density | FinitePMF, g: Density | FinitePMF) -> MeasureValue:
     """Cross entropy E_f[-log g(X)]; +inf when f has mass where g vanishes."""
-    return info_moments(f, g, method, tol).I
+    return info_moments(f, g).I
 
 
-def varinaccuracy(f: Density, g: Density, method: str = "auto", tol: float = quadrature.DEFAULT_TOL) -> MeasureValue:
+def varinaccuracy(f: Density | FinitePMF, g: Density | FinitePMF) -> MeasureValue:
     """Dispersion of the cross information: Var_f[-log g(X)].
 
     Zero exactly when g is uniform on the common support.
     """
-    return info_moments(f, g, method, tol).VarI
+    return info_moments(f, g).VarI
 
 
-def kl(f: Density, g: Density, method: str = "auto", tol: float = quadrature.DEFAULT_TOL) -> MeasureValue:
+def kl(f: Density | FinitePMF, g: Density | FinitePMF) -> MeasureValue:
     """Divergence E_f[log(f(X)/g(X))]; nonnegative, +inf without
     absolute continuity of f with respect to g."""
-    return info_moments(f, g, method, tol).K
+    return info_moments(f, g).K
 
 
-def var_kl(f: Density, g: Density, method: str = "auto", tol: float = quadrature.DEFAULT_TOL) -> MeasureValue:
+def var_kl(f: Density | FinitePMF, g: Density | FinitePMF) -> MeasureValue:
     """Dispersion of the divergence: Var_f[log(f(X)/g(X))].
 
     Zero if and only if the two laws coincide.
     """
-    return info_moments(f, g, method, tol).VarK
+    return info_moments(f, g).VarK
 
 
-def log_log_cov(f: Density, g: Density, tol: float = quadrature.DEFAULT_TOL) -> MeasureValue:
+def log_log_cov(f: Density | FinitePMF, g: Density | FinitePMF) -> MeasureValue:
     """cov_f(log f(X), log g(X)) = (VarH + VarI - VarK) / 2."""
-    return info_moments(f, g, tol=tol).cov
+    return info_moments(f, g).cov
 
 
-# ----------------------------------------------------------------------
-# Discrete measures (direct summation)
-# ----------------------------------------------------------------------
-
-def entropy_pmf(P: FinitePMF) -> MeasureValue:
-    """Discrete entropy -sum P log P with 0 log 0 = 0."""
-    return info_moments(P, P).H
-
-
-def varentropy_pmf(P: FinitePMF) -> MeasureValue:
-    return info_moments(P, P).VarH
-
-
-def inaccuracy_pmf(P: FinitePMF, Q: FinitePMF) -> MeasureValue:
-    """Discrete cross entropy -sum P log Q; +inf if Q misses P's mass."""
-    return info_moments(P, Q).I
-
-
-def varinaccuracy_pmf(P: FinitePMF, Q: FinitePMF) -> MeasureValue:
-    return info_moments(P, Q).VarI
-
-
-def kl_pmf(P: FinitePMF, Q: FinitePMF) -> MeasureValue:
-    """Discrete divergence sum P log(P/Q); terms with P(x) = 0 vanish."""
-    return info_moments(P, Q).K
-
-
-def var_kl_pmf(P: FinitePMF, Q: FinitePMF) -> MeasureValue:
-    return info_moments(P, Q).VarK
-
-
-def log_log_cov_pmf(P: FinitePMF, Q: FinitePMF) -> MeasureValue:
-    return info_moments(P, Q).cov
+# The discrete spellings: the readers take a FinitePMF as well.
+(entropy_pmf, varentropy_pmf, inaccuracy_pmf, varinaccuracy_pmf, kl_pmf, var_kl_pmf,
+ log_log_cov_pmf) = (entropy, varentropy, inaccuracy, varinaccuracy, kl, var_kl, log_log_cov)

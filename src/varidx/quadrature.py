@@ -2,11 +2,16 @@
 
 A 15-point Kronrod rule nested over 7-point Gauss drives a globally
 adaptive bisection.  An integrand may have several components (rows)
-sharing one partition; each row converges when its summed error
-estimate drops below its goal ``max(tol, rel_tol * |value|)``.  The
-panel split next is the one whose largest error relative to its row's
-goal is greatest, so a row already within its (possibly loose,
-relative) goal draws no further refinement.  All
+sharing one partition.  Every integral converges by one rule: each row
+is done when its summed error estimate drops below its goal
+``max(tol, 1e-12 * |value|)``, so paper-scale values are governed by
+the absolute tolerance while values of order 1e8 and beyond (second
+moments at extreme parameter ratios) stay computable.  The panel split
+next is the one whose largest error relative to its row's goal is
+greatest, so a row already within its goal draws no further
+refinement.  Refinement stops after ``MAX_PANELS`` panels with
+:class:`~varidx.errors.QuadratureConvergenceError`, which carries the
+best estimate found.  All
 quadrature nodes are strictly interior, so an integrable endpoint
 singularity is never evaluated; bisection only approaches it, at a cost
 of many panels.  :mod:`varidx.measures` therefore integrates a law on
@@ -25,7 +30,9 @@ bisection in :mod:`varidx.distributions` use the same map.
 package's measures integrate nothing else.  :func:`expectations` runs
 the same loop for E[w_i(X)] under one density, every w_i on one shared
 partition, so that the error control applies to all of them at once.
-Nothing in the package calls it; it stays public because
+Nothing in the package calls it: the tests use it as a reference that
+is independent of the rows :mod:`varidx.measures` builds, for the
+transform identity of a pushforward, and it stays public because
 ``bench/tracing.py`` counts panels by wrapping this name.
 """
 
@@ -51,6 +58,8 @@ __all__ = [
 
 DEFAULT_TOL = 1e-9
 MAX_PANELS = 1 << 15
+# The relative floor of every row's goal.
+_REL_TOL = 1e-12
 
 _EPS = np.finfo(float).eps
 
@@ -140,17 +149,18 @@ def _panel_rule(h, a: float, b: float):
     return resk, err
 
 
-def _adaptive(h, edges, tol: float, rel_tol: float, max_panels: int):
+def _adaptive(h, edges, tol: float):
     """Globally adaptive refinement of the integrals of the rows of h,
     starting from one panel between each pair of consecutive edges.
 
     Converges when every component's summed error estimate drops below
-    ``max(tol, rel_tol * |component value|)``.
+    ``max(tol, _REL_TOL * |component value|)``, within ``MAX_PANELS``
+    panels.
     """
     start = [(a, b, *_panel_rule(h, a, b)) for a, b in zip(edges[:-1], edges[1:])]
     tot_val = sum(val for _, _, val, _ in start)
     tot_err = sum(err for _, _, _, err in start)
-    goal = np.maximum(tol, rel_tol * np.abs(tot_val))
+    goal = np.maximum(tol, _REL_TOL * np.abs(tot_val))
     # Panels are keyed by their largest error relative to the goal of
     # the same component, the quantity the convergence test uses.
     heap = [
@@ -162,10 +172,10 @@ def _adaptive(h, edges, tol: float, rel_tol: float, max_panels: int):
     frozen: list[tuple[np.ndarray, np.ndarray]] = []
 
     while heap:
-        goal = np.maximum(tol, rel_tol * np.abs(tot_val))
+        goal = np.maximum(tol, _REL_TOL * np.abs(tot_val))
         if np.all(tot_err <= goal):
             break
-        if n_panels >= max_panels:
+        if n_panels >= MAX_PANELS:
             value, error = _collect(heap, frozen)
             raise QuadratureConvergenceError(
                 f"no convergence after {n_panels} panels "
@@ -193,7 +203,7 @@ def _adaptive(h, edges, tol: float, rel_tol: float, max_panels: int):
         n_panels += 1
 
     value, error = _collect(heap, frozen)
-    goal = np.maximum(tol, rel_tol * np.abs(value))
+    goal = np.maximum(tol, _REL_TOL * np.abs(value))
     if not np.all(error <= goal):
         raise QuadratureConvergenceError(
             f"panels exhausted at width floor with error "
@@ -264,13 +274,13 @@ def _mapped(h, lo: float, hi: float):
     return in_t, edges
 
 
-def _integrate_vector(h, lo, hi, tol, rel_tol, max_panels):
+def _integrate_vector(h, lo, hi, tol):
     """:func:`_adaptive` over (lo, hi) through :func:`_mapped`; a
     non-finite integrand is reported on its panel in h's variable."""
     if not tol > 0.0:
         raise InvalidParameterError("tol must be positive")
     try:
-        return _adaptive(*_mapped(h, lo, hi), tol, rel_tol, max_panels)
+        return _adaptive(*_mapped(h, lo, hi), tol)
     except _NonFinite as exc:
         x = change_of_variables(lo, hi)[0](np.array(exc.panel))
         raise _NonFinite(*(float(v) for v in x)) from None
@@ -280,8 +290,6 @@ def integrate(
     h: Callable[[np.ndarray], np.ndarray],
     interval: tuple[float, float],
     tol: float = DEFAULT_TOL,
-    max_panels: int = MAX_PANELS,
-    rel_tol: float = 0.0,
 ) -> IntegralResult:
     """Integrate ``h`` over the open interval ``(lo, hi)``.
 
@@ -294,27 +302,17 @@ def integrate(
     interval : (float, float)
         Open integration interval; either endpoint may be infinite.
     tol : float
-        Absolute tolerance on the total error estimate.
-    max_panels : int
-        Subdivision budget; exceeding it raises
+        Absolute tolerance on the total error estimate; convergence is
+        declared at ``max(tol, 1e-12 * |value|)``.  Exceeding
+        ``MAX_PANELS`` panels raises
         :class:`~varidx.errors.QuadratureConvergenceError` carrying the
         best estimate found.
-    rel_tol : float
-        Optional relative escape hatch: convergence is declared at
-        ``max(tol, rel_tol * |value|)``.  The default 0.0 keeps the
-        tolerance purely absolute; callers integrating quantities of
-        very large magnitude (where an absolute goal would sit below
-        float resolution) can pass a small relative floor.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if not lo < hi:
         raise InvalidParameterError(f"empty interval ({lo}, {hi})")
-
-    def hv(x, _h=h):
-        return np.atleast_2d(np.asarray(_h(x), dtype=float))
-
     try:
-        value, error, n = _integrate_vector(hv, lo, hi, tol, rel_tol, max_panels)
+        value, error, n = _integrate_vector(h, lo, hi, tol)
     except QuadratureConvergenceError as exc:
         raise QuadratureConvergenceError(
             str(exc),
@@ -329,8 +327,6 @@ def expectations(
     density,
     ws: Sequence[Callable[[np.ndarray], np.ndarray]],
     tol: float = DEFAULT_TOL,
-    max_panels: int = MAX_PANELS,
-    rel_tol: float = 0.0,
 ) -> list[IntegralResult]:
     """Expectations ``E[w_i(X)]`` under ``density``, on one shared partition
     of its support.
@@ -353,7 +349,5 @@ def expectations(
                 out[i, mask] = fs * np.asarray(w(xs), dtype=float)
         return out
 
-    value, error, n = _integrate_vector(
-        h, float(lo), float(hi), tol, rel_tol, max_panels
-    )
+    value, error, n = _integrate_vector(h, float(lo), float(hi), tol)
     return [IntegralResult(float(v), float(e), n) for v, e in zip(value, error)]

@@ -25,14 +25,13 @@ from varidx.distributions import (
 from varidx.estimation import fit_binomial_p, fit_weibull_mle, kde
 from varidx.measures import (
     MeasureValue,
-    entropy,
     inaccuracy,
+    info_moments,
     kl,
     kl_pmf,
     log_log_cov,
     var_kl,
     var_kl_pmf,
-    varentropy,
     varinaccuracy,
 )
 from varidx.quadrature import expectations
@@ -58,8 +57,8 @@ def test_criterion_01_exponential_pair_inaccuracy_dispersion():
     f, g = Exponential(1.0), Exponential(2.0)
     assert inaccuracy(f, g).value == 2.0 - LOG2
     assert varinaccuracy(f, g).value == 4.0
-    assert abs(inaccuracy(f, g, method="quadrature").value - (2.0 - LOG2)) <= 1e-7
-    assert abs(varinaccuracy(f, g, method="quadrature").value - 4.0) <= 1e-7
+    assert abs(info_moments(f, g, method="quadrature").I.value - (2.0 - LOG2)) <= 1e-7
+    assert abs(info_moments(f, g, method="quadrature").VarI.value - 4.0) <= 1e-7
     report(1, "I(Exp1,Exp2) = 2 - log 2 and VarI = 4 (closed exact, quad 1e-7)")
 
 
@@ -67,8 +66,8 @@ def test_criterion_02_uniform_power_pair():
     f, g = Uniform(0.0, 1.0), Power(2.0)
     assert inaccuracy(f, g).value == 1.0 - LOG2
     assert varinaccuracy(f, g).value == 1.0
-    assert abs(inaccuracy(f, g, method="quadrature").value - (1.0 - LOG2)) <= 1e-7
-    assert abs(varinaccuracy(f, g, method="quadrature").value - 1.0) <= 1e-7
+    assert abs(info_moments(f, g, method="quadrature").I.value - (1.0 - LOG2)) <= 1e-7
+    assert abs(info_moments(f, g, method="quadrature").VarI.value - 1.0) <= 1e-7
     report(2, "I(U(0,1),Power2) = 1 - log 2 and VarI = 1 (closed exact, quad 1e-7)")
 
 
@@ -77,7 +76,7 @@ def test_criterion_03_triangle_counterexample():
     triples = [(f, g, 25.0), (f, h, 9.0), (h, g, 0.25)]
     for a, b, expect in triples:
         assert abs(var_kl(a, b).value - expect) <= 1e-9
-        assert abs(var_kl(a, b, method="quadrature").value - expect) <= 1e-7
+        assert abs(info_moments(a, b, method="quadrature").VarK.value - expect) <= 1e-7
     assert var_kl(f, g).value > 9.0 + 0.25
     report(3, "VarK triple (25, 9, 0.25) and 25 > 9.25 triangle failure")
 
@@ -177,13 +176,13 @@ def test_criterion_09_bound_dominance_and_agreement():
 
 def test_criterion_10_identity_suite():
     for f in HALF_LINE_SIX:
-        h = entropy(f, method="quadrature").value
-        vh = varentropy(f, method="quadrature").value
+        h = info_moments(f, f, method="quadrature").H.value
+        vh = info_moments(f, f, method="quadrature").VarH.value
         for g in HALF_LINE_SIX:
-            k = kl(f, g, method="quadrature").value
-            i = inaccuracy(f, g, method="quadrature").value
-            vk = var_kl(f, g, method="quadrature").value
-            vi = varinaccuracy(f, g, method="quadrature").value
+            k = info_moments(f, g, method="quadrature").K.value
+            i = info_moments(f, g, method="quadrature").I.value
+            vk = info_moments(f, g, method="quadrature").VarK.value
+            vi = info_moments(f, g, method="quadrature").VarI.value
             cov = log_log_cov(f, g).value
             assert abs(k - (i - h)) <= 1e-8
             assert abs(vk - (vh + vi - 2.0 * cov)) <= 1e-7
@@ -195,15 +194,15 @@ def test_criterion_10_identity_suite():
             phi_d = lambda x, a=a: np.full(np.shape(x), a)  # noqa: E731
             ft = push_forward(Exponential(1.0), phi, phi_inv, phi_d)
             gt = push_forward(Exponential(2.0), phi, phi_inv, phi_d)
-            assert abs(varinaccuracy(ft, gt, method="quadrature").value - 4.0) <= 1e-7
+            assert abs(info_moments(ft, gt, method="quadrature").VarI.value - 4.0) <= 1e-7
 
     f, g = Power(2.0), Power(3.0)
     sq = lambda x: x * x  # noqa: E731
     rt = lambda y: np.sqrt(y)  # noqa: E731
     dv = lambda x: 2.0 * x  # noqa: E731
-    lhs = varinaccuracy(
+    lhs = info_moments(
         push_forward(f, sq, rt, dv), push_forward(g, sq, rt, dv), method="quadrature"
-    ).value
+    ).VarI.value
     log_g = lambda x: g.log_pdf(x)  # noqa: E731
     log_dphi = lambda x: np.log(2.0 * x)  # noqa: E731
     m = expectations(
@@ -213,7 +212,7 @@ def test_criterion_10_identity_suite():
     )
     var_ld = m[1].value - m[0].value ** 2
     cov_g_ld = m[3].value - m[2].value * m[0].value
-    rhs = varinaccuracy(f, g, method="quadrature").value + var_ld - 2.0 * cov_g_ld
+    rhs = info_moments(f, g, method="quadrature").VarI.value + var_ld - 2.0 * cov_g_ld
     assert abs(lhs - rhs) <= 1e-6
     report(10, "identities, affine invariance, and transform identity hold")
 
@@ -229,10 +228,10 @@ def test_criterion_11_vanishing_suite():
     ]
     for f, g in flats:
         assert varinaccuracy(f, g).value <= 1e-10
-        assert varinaccuracy(f, g, method="quadrature").value <= 1e-10
+        assert info_moments(f, g, method="quadrature").VarI.value <= 1e-10
     for f in HALF_LINE_SIX + [Power(2.0), Uniform(0.0, 1.0)]:
         assert var_kl(f, f).value <= 1e-10
-        assert var_kl(f, f, method="quadrature").value <= 1e-10
+        assert info_moments(f, f, method="quadrature").VarK.value <= 1e-10
     rng = np.random.default_rng(777)
     count = 0
     while count < 50:
@@ -263,12 +262,12 @@ def test_criterion_12_monte_carlo_oracle():
         return s2, math.sqrt(max(m4 - s2 * s2, 0.0) / len(z))
 
     checks = [
-        ("H", entropy(f, method="quadrature").value, *mean_se(-lf)),
-        ("VarH", varentropy(f, method="quadrature").value, *var_se(-lf)),
-        ("I", inaccuracy(f, g, method="quadrature").value, *mean_se(-lg)),
-        ("VarI", varinaccuracy(f, g, method="quadrature").value, *var_se(-lg)),
-        ("K", kl(f, g, method="quadrature").value, *mean_se(lf - lg)),
-        ("VarK", var_kl(f, g, method="quadrature").value, *var_se(lf - lg)),
+        ("H", info_moments(f, f, method="quadrature").H.value, *mean_se(-lf)),
+        ("VarH", info_moments(f, f, method="quadrature").VarH.value, *var_se(-lf)),
+        ("I", info_moments(f, g, method="quadrature").I.value, *mean_se(-lg)),
+        ("VarI", info_moments(f, g, method="quadrature").VarI.value, *var_se(-lg)),
+        ("K", info_moments(f, g, method="quadrature").K.value, *mean_se(lf - lg)),
+        ("VarK", info_moments(f, g, method="quadrature").VarK.value, *var_se(lf - lg)),
     ]
     w = (lf - lf.mean()) * (lg - lg.mean())
     checks.append(

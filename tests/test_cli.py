@@ -467,6 +467,14 @@ class TestFitCommand:
         assert code == 2
         assert ":3:" in err and "bogus" in err
 
+    def test_file_that_is_not_utf8_is_a_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"1.5\n2.5\n\xff3.5\n")
+        code, out, err = run(capsys, "fit", "--data", str(path), "--candidates", "w2")
+        assert code == 2 and out == ""
+        assert err.splitlines() == [f"error: {path}: not UTF-8 text"]
+        assert "Traceback" not in err
+
     def test_blocks_parse_as_lines(self, tmp_path):
         path = tmp_path / "values.txt"
         path.write_bytes(_messy_data(seed=5).encode())

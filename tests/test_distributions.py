@@ -261,6 +261,16 @@ class TestPushForward:
         r = integrate(d.pdf, d.support)
         assert abs(r.value - 1.0) <= 1e-9
 
+    def test_derivative_out_of_float_range_is_an_error(self):
+        # At x = 1e-160, phi_inv(x) = 1e160 and phi'(1e160) = -1e-320
+        # overflows to -0.0, where the log-density is still finite.
+        d = push_forward(
+            Lognormal(0.3, 0.5), lambda y: 1 / y, lambda x: 1 / x, lambda y: -1 / (y * y)
+        )
+        with pytest.raises(OutOfRangeError, match="x = 1e-160"):
+            d.log_pdf(1e-160)
+        assert d.log_pdf(1.0) == -0.40579135264472743
+
     def test_log_kde_with_wide_steps_accepted(self):
         # Data spanning 700 on the log scale gives 7.2-wide check steps.
         d = LogKernelDensity([1.0, 2.0, 1e307], 0.5)
@@ -467,10 +477,6 @@ class TestSampleData:
         assert sd.n == 500
         assert abs(sd.mean - values.mean()) <= 1e-12 * abs(sd.mean)
         assert abs(sd.variance - values.var(ddof=1)) <= 1e-12 * sd.variance
-        assert abs(sd.log_mean - np.log(values).mean()) <= 1e-12
-
-    def test_log_mean_absent_for_nonpositive_data(self):
-        assert SampleData([-1.0, 2.0, 3.0]).log_mean is None
 
     def test_rejects_non_finite(self):
         with pytest.raises(InvalidParameterError):

@@ -71,8 +71,26 @@ HALF_LINE_SIX = [
 ]
 
 
-def both_methods(fn, *args, **kwargs):
-    return fn(*args, **kwargs), fn(*args, method="quadrature", **kwargs)
+# Each field of the record and the reader of that field.
+READERS = {
+    "H": entropy,
+    "VarH": varentropy,
+    "I": inaccuracy,
+    "VarI": varinaccuracy,
+    "K": kl,
+    "VarK": var_kl,
+    "cov": log_log_cov,
+}
+
+
+def both_methods(field, f, g=None):
+    """``field`` of (f, g), or of (f, f) without g, by the auto route and
+    by quadrature."""
+    g = f if g is None else g
+    return (
+        getattr(info_moments(f, g), field),
+        getattr(info_moments(f, g, method="quadrature"), field),
+    )
 
 
 class TestEntropy:
@@ -88,7 +106,7 @@ class TestEntropy:
 
     def test_closed_vs_quadrature(self):
         for f in [Exponential(1.0), Exponential(0.5), Uniform(0.0, 3.0)]:
-            c, q = both_methods(entropy, f)
+            c, q = both_methods("H", f)
             assert q.method == "quadrature"
             assert abs(c.value - q.value) <= 1e-7
 
@@ -105,34 +123,36 @@ class TestEntropy:
 class TestVarentropy:
     @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
     def test_exponential_is_one(self, lam):
-        c, q = both_methods(varentropy, Exponential(lam))
+        c, q = both_methods("VarH", Exponential(lam))
         assert c.value == 1.0
         assert abs(q.value - 1.0) <= 1e-7
 
     def test_uniform_is_zero(self):
         assert varentropy(Uniform(0.0, 1.0)).value == 0.0
-        assert varentropy(Uniform(2.0, 5.0), method="quadrature").value <= 1e-9
+        f = Uniform(2.0, 5.0)
+        assert info_moments(f, f, method="quadrature").VarH.value <= 1e-9
 
     def test_power_value(self):
         # -log f(X) = -log a - (a-1) log X with -log X ~ Exp(a), so the
         # variance is (a-1)^2 / a^2; for a = 2 that is 0.25.
-        c = varentropy(Power(2.0), method="quadrature")
+        f = Power(2.0)
+        c = info_moments(f, f, method="quadrature").VarH
         assert abs(c.value - 0.25) <= 1e-9
 
     def test_nonnegative(self):
         for f in HALF_LINE_SIX:
-            assert varentropy(f, method="quadrature").value >= -1e-9
+            assert info_moments(f, f, method="quadrature").VarH.value >= -1e-9
 
 
 class TestInaccuracy:
     def test_exp_pair_value(self):
-        c, q = both_methods(inaccuracy, Exponential(1.0), Exponential(2.0))
+        c, q = both_methods("I", Exponential(1.0), Exponential(2.0))
         assert c.method == "closed_form"
         assert abs(c.value - (2.0 - LOG2)) < 1e-15
         assert abs(q.value - (2.0 - LOG2)) <= 1e-7
 
     def test_uniform_power_value(self):
-        c, q = both_methods(inaccuracy, Uniform(0.0, 1.0), Power(2.0))
+        c, q = both_methods("I", Uniform(0.0, 1.0), Power(2.0))
         assert abs(c.value - (1.0 - LOG2)) < 1e-15
         assert abs(q.value - (1.0 - LOG2)) <= 1e-7
 
@@ -153,12 +173,12 @@ class TestInaccuracy:
 
 class TestVarinaccuracy:
     def test_exp_pair_value(self):
-        c, q = both_methods(varinaccuracy, Exponential(1.0), Exponential(2.0))
+        c, q = both_methods("VarI", Exponential(1.0), Exponential(2.0))
         assert c.value == 4.0
         assert abs(q.value - 4.0) <= 1e-7
 
     def test_uniform_power_value(self):
-        c, q = both_methods(varinaccuracy, Uniform(0.0, 1.0), Power(2.0))
+        c, q = both_methods("VarI", Uniform(0.0, 1.0), Power(2.0))
         assert c.value == 1.0
         assert abs(q.value - 1.0) <= 1e-7
 
@@ -166,14 +186,14 @@ class TestVarinaccuracy:
         "f", [Power(2.0), Power(0.5), Uniform(0.0, 1.0)], ids=lambda d: repr(d)
     )
     def test_vanishes_against_flat_density(self, f):
-        c, q = both_methods(varinaccuracy, f, Uniform(0.0, 1.0))
+        c, q = both_methods("VarI", f, Uniform(0.0, 1.0))
         assert c.value == 0.0
         assert q.value <= 1e-10
 
     def test_vanishes_against_wide_uniform(self):
         # Exponential mass beyond 50 is ~ e^-50, far below the divergence
         # threshold, so a uniform hypothesis on (0, 50) is still flat.
-        c, q = both_methods(varinaccuracy, Exponential(1.0), Uniform(0.0, 50.0))
+        c, q = both_methods("VarI", Exponential(1.0), Uniform(0.0, 50.0))
         assert c.value == 0.0
         assert q.value <= 1e-10
 
@@ -184,7 +204,7 @@ class TestVarinaccuracy:
 class TestKl:
     def test_exp_pair_closed_and_identity(self):
         f, g = Exponential(1.0), Exponential(2.0)
-        c, q = both_methods(kl, f, g)
+        c, q = both_methods("K", f, g)
         assert abs(c.value - (1.0 - LOG2)) < 1e-15
         assert abs(q.value - c.value) <= 1e-7
         # K = I - H
@@ -193,14 +213,14 @@ class TestKl:
 
     def test_power_pair_nonnegative(self):
         for a, b in [(0.5, 3.0), (0.5, 2.0), (2.0, 3.0), (3.0, 2.0)]:
-            c, q = both_methods(kl, Power(a), Power(b))
+            c, q = both_methods("K", Power(a), Power(b))
             assert c.value >= 0.0
             assert abs(c.value - q.value) <= 1e-7
 
     def test_identical_is_zero(self):
         for f in [Exponential(1.3), Power(2.0), Weibull2(1.5, 0.3)]:
             assert kl(f, f).value == 0.0
-            assert kl(f, f, method="quadrature").value <= 1e-10
+            assert info_moments(f, f, method="quadrature").K.value <= 1e-10
 
     def test_absolute_continuity_failure(self):
         assert math.isinf(kl(Uniform(0.0, 2.0), Power(2.0)).value)
@@ -210,20 +230,20 @@ class TestVarKl:
     def test_triangle_counterexample_values(self):
         f, g, h = Power(0.5), Power(3.0), Power(2.0)
         for a, b, expect in [(f, g, 25.0), (f, h, 9.0), (h, g, 0.25)]:
-            c, q = both_methods(var_kl, a, b)
+            c, q = both_methods("VarK", a, b)
             assert abs(c.value - expect) <= 1e-9
             assert abs(q.value - expect) <= 1e-7
         assert var_kl(f, g).value > var_kl(f, h).value + var_kl(h, g).value
 
     def test_exp_pair_value(self):
-        c, q = both_methods(var_kl, Exponential(1.0), Exponential(2.0))
+        c, q = both_methods("VarK", Exponential(1.0), Exponential(2.0))
         assert c.value == 1.0
         assert abs(q.value - 1.0) <= 1e-7
 
     def test_identical_is_zero(self):
         for f in [Exponential(0.7), Power(3.0), Lognormal(0.0, 1.0)]:
             assert var_kl(f, f).value == 0.0
-            assert var_kl(f, f, method="quadrature").value <= 1e-10
+            assert info_moments(f, f, method="quadrature").VarK.value <= 1e-10
 
     def test_positive_for_non_identical_pairs(self):
         rng = np.random.default_rng(404)
@@ -246,17 +266,17 @@ class TestExtremeParameterRatios:
     def test_quadrature_matches_closed_forms(self):
         f, g = Exponential(0.01), Exponential(100.0)
         pairs = [
-            (kl, math.log(0.01 / 100.0) + 100.0 / 0.01 - 1.0, 1e-8),
-            (inaccuracy, -math.log(100.0) + 100.0 / 0.01, 1e-8),
+            ("K", math.log(0.01 / 100.0) + 100.0 / 0.01 - 1.0, 1e-8),
+            ("I", -math.log(100.0) + 100.0 / 0.01, 1e-8),
         ]
-        for fn, expect, tol in pairs:
-            assert abs(fn(f, g).value - expect) <= 1e-12 * abs(expect)
-            assert abs(fn(f, g, method="quadrature").value - expect) <= max(
-                tol, 1e-11 * abs(expect)
-            )
-        assert abs(varinaccuracy(f, g, method="quadrature").value - 1e8) <= 1e-9 * 1e8
+        for field, expect, tol in pairs:
+            closed, quad = both_methods(field, f, g)
+            assert abs(closed.value - expect) <= 1e-12 * abs(expect)
+            assert abs(quad.value - expect) <= max(tol, 1e-11 * abs(expect))
+        assert abs(info_moments(f, g, method="quadrature").VarI.value - 1e8) <= 1e-9 * 1e8
         vk_expect = ((100.0 - 0.01) / 0.01) ** 2
-        assert abs(var_kl(f, g, method="quadrature").value - vk_expect) <= 1e-9 * vk_expect
+        vk = info_moments(f, g, method="quadrature").VarK.value
+        assert abs(vk - vk_expect) <= 1e-9 * vk_expect
 
     def test_covariance_at_extreme_ratio(self):
         # cov_f(log f, log g) = lam * eta * Var(X) = eta / lam.
@@ -277,7 +297,7 @@ class TestLogLogCov:
     def test_with_itself_equals_varentropy(self):
         f = Weibull2(1.6, 0.8)
         cov = log_log_cov(f, f).value
-        vh = varentropy(f, method="quadrature").value
+        vh = info_moments(f, f, method="quadrature").VarH.value
         assert abs(cov - vh) <= 1e-7
 
 
@@ -285,17 +305,17 @@ class TestIdentities:
     def test_rel_identity_over_grid(self):
         for f in HALF_LINE_SIX:
             for g in HALF_LINE_SIX:
-                k = kl(f, g, method="quadrature").value
-                i = inaccuracy(f, g, method="quadrature").value
-                h = entropy(f, method="quadrature").value
+                k = info_moments(f, g, method="quadrature").K.value
+                i = info_moments(f, g, method="quadrature").I.value
+                h = info_moments(f, f, method="quadrature").H.value
                 assert abs(k - (i - h)) <= 1e-8, (f, g)
 
     def test_rel2_identity_over_grid(self):
         for f in HALF_LINE_SIX:
             for g in HALF_LINE_SIX:
-                vk = var_kl(f, g, method="quadrature").value
-                vh = varentropy(f, method="quadrature").value
-                vi = varinaccuracy(f, g, method="quadrature").value
+                vk = info_moments(f, g, method="quadrature").VarK.value
+                vh = info_moments(f, f, method="quadrature").VarH.value
+                vi = info_moments(f, g, method="quadrature").VarI.value
                 cov = log_log_cov(f, g).value
                 assert abs(vk - (vh + vi - 2.0 * cov)) <= 1e-7, (f, g)
 
@@ -308,7 +328,7 @@ class TestIdentities:
         phi_deriv = lambda x: np.full(np.shape(x), a)  # noqa: E731
         ft = push_forward(f, phi, phi_inv, phi_deriv)
         gt = push_forward(g, phi, phi_inv, phi_deriv)
-        vi = varinaccuracy(ft, gt, method="quadrature").value
+        vi = info_moments(ft, gt, method="quadrature").VarI.value
         assert abs(vi - 4.0) <= 1e-7
 
     def test_monotone_transform_identity(self):
@@ -320,7 +340,7 @@ class TestIdentities:
         dv = lambda x: 2.0 * x  # noqa: E731
         ft = push_forward(f, sq, rt, dv)
         gt = push_forward(g, sq, rt, dv)
-        lhs = varinaccuracy(ft, gt, method="quadrature").value
+        lhs = info_moments(ft, gt, method="quadrature").VarI.value
 
         log_g = lambda x: g.log_pdf(x)  # noqa: E731
         log_dphi = lambda x: np.log(2.0 * x)  # noqa: E731
@@ -337,7 +357,7 @@ class TestIdentities:
         var_ld = m[1].value - m[0].value ** 2
         cov_g_ld = m[3].value - m[2].value * m[0].value
         rhs = (
-            varinaccuracy(f, g, method="quadrature").value
+            info_moments(f, g, method="quadrature").VarI.value
             + var_ld
             - 2.0 * cov_g_ld
         )
@@ -363,33 +383,34 @@ class TestClosedFormCells:
     """Every closed-form dispatch cell agrees with quadrature to 1e-7."""
 
     CELLS = [
-        (entropy, (Exponential(1.7),)),
-        (entropy, (Uniform(0.5, 3.0),)),
-        (entropy, (Power(1.0),)),
-        (varentropy, (Exponential(0.6),)),
-        (varentropy, (Uniform(0.0, 2.0),)),
-        (inaccuracy, (Exponential(1.0), Exponential(2.0))),
-        (inaccuracy, (Uniform(0.0, 1.0), Power(3.0))),
-        (inaccuracy, (Power(2.0), Uniform(0.0, 1.0))),
-        (varinaccuracy, (Exponential(2.0), Exponential(0.7))),
-        (varinaccuracy, (Uniform(0.0, 1.0), Power(0.5))),
-        (varinaccuracy, (Weibull2(1.6, 0.8), Uniform(0.0, 60.0))),
-        (kl, (Exponential(1.0), Exponential(2.0))),
-        (kl, (Power(0.5), Power(3.0))),
-        (kl, (Weibull2(1.5, 0.3), Weibull2(1.5, 0.3))),
-        (var_kl, (Exponential(0.5), Exponential(1.5))),
-        (var_kl, (Power(2.0), Power(3.0))),
-        (var_kl, (Lognormal(0.0, 1.0), Lognormal(0.0, 1.0))),
-        (entropy, (Power(0.5),)),
-        (varentropy, (Power(0.5),)),
-        (inaccuracy, (Power(0.5), Power(3.0))),
-        (varinaccuracy, (Power(0.5), Power(3.0))),
+        ("H", (Exponential(1.7),)),
+        ("H", (Uniform(0.5, 3.0),)),
+        ("H", (Power(1.0),)),
+        ("VarH", (Exponential(0.6),)),
+        ("VarH", (Uniform(0.0, 2.0),)),
+        ("I", (Exponential(1.0), Exponential(2.0))),
+        ("I", (Uniform(0.0, 1.0), Power(3.0))),
+        ("I", (Power(2.0), Uniform(0.0, 1.0))),
+        ("VarI", (Exponential(2.0), Exponential(0.7))),
+        ("VarI", (Uniform(0.0, 1.0), Power(0.5))),
+        ("VarI", (Weibull2(1.6, 0.8), Uniform(0.0, 60.0))),
+        ("K", (Exponential(1.0), Exponential(2.0))),
+        ("K", (Power(0.5), Power(3.0))),
+        ("K", (Weibull2(1.5, 0.3), Weibull2(1.5, 0.3))),
+        ("VarK", (Exponential(0.5), Exponential(1.5))),
+        ("VarK", (Power(2.0), Power(3.0))),
+        ("VarK", (Lognormal(0.0, 1.0), Lognormal(0.0, 1.0))),
+        ("H", (Power(0.5),)),
+        ("VarH", (Power(0.5),)),
+        ("I", (Power(0.5), Power(3.0))),
+        ("VarI", (Power(0.5), Power(3.0))),
     ]
 
-    @pytest.mark.parametrize("fn,args", CELLS, ids=lambda v: getattr(v, "__name__", ""))
-    def test_cell_agreement(self, fn, args):
-        closed = fn(*args)
-        quad = fn(*args, method="quadrature")
+    @pytest.mark.parametrize(
+        "field,args", CELLS, ids=lambda v: READERS[v].__name__ if isinstance(v, str) else ""
+    )
+    def test_cell_agreement(self, field, args):
+        closed, quad = both_methods(field, *args)
         assert closed.method == "closed_form"
         assert closed.abs_error_estimate == 0.0
         assert quad.method == "quadrature"
@@ -418,17 +439,17 @@ class TestMonteCarloAgreement:
 
         checks = []
         mc, se = mean_se(-lf)
-        checks.append(("H", entropy(f, method="quadrature").value, mc, se))
+        checks.append(("H", info_moments(f, f, method="quadrature").H.value, mc, se))
         mc, se = var_se(-lf)
-        checks.append(("VarH", varentropy(f, method="quadrature").value, mc, se))
+        checks.append(("VarH", info_moments(f, f, method="quadrature").VarH.value, mc, se))
         mc, se = mean_se(-lg)
-        checks.append(("I", inaccuracy(f, g, method="quadrature").value, mc, se))
+        checks.append(("I", info_moments(f, g, method="quadrature").I.value, mc, se))
         mc, se = var_se(-lg)
-        checks.append(("VarI", varinaccuracy(f, g, method="quadrature").value, mc, se))
+        checks.append(("VarI", info_moments(f, g, method="quadrature").VarI.value, mc, se))
         mc, se = mean_se(lf - lg)
-        checks.append(("K", kl(f, g, method="quadrature").value, mc, se))
+        checks.append(("K", info_moments(f, g, method="quadrature").K.value, mc, se))
         mc, se = var_se(lf - lg)
-        checks.append(("VarK", var_kl(f, g, method="quadrature").value, mc, se))
+        checks.append(("VarK", info_moments(f, g, method="quadrature").VarK.value, mc, se))
         w = (lf - lf.mean()) * (lg - lg.mean())
         mc, se = float(w.mean()), float(w.std(ddof=1)) / math.sqrt(n)
         checks.append(("cov", log_log_cov(f, g).value, mc, se))
@@ -571,7 +592,8 @@ class TestInfoMoments:
         monkeypatch.setattr(quadrature, "_integrate_vector", counted)
         f, g, h = Power(0.5), Power(3.0), Power(2.0)
         for a, b, expect in [(f, g, 25.0), (f, h, 9.0), (h, g, 0.25)]:
-            assert abs(var_kl(a, b, method="quadrature").value - expect) <= 1e-12 * expect
+            vk = info_moments(a, b, method="quadrature").VarK.value
+            assert abs(vk - expect) <= 1e-12 * expect
         rec = info_moments(Uniform(0.0, 1.0), h, method="quadrature")
         assert abs(rec.I.value - (1.0 - LOG2)) <= 1e-12
         assert abs(rec.VarI.value - 1.0) <= 1e-12
@@ -674,6 +696,29 @@ class TestInfoMoments:
         rec = info_moments(p, q)
         assert rec.H == entropy_pmf(p) and rec.H.method == "summation"
         assert rec.K.method == "divergent" and math.isinf(rec.cov.value)
+
+    def test_readers_are_fields_of_the_record(self):
+        pairs = [
+            (Weibull2(1.6, 0.8), Lognormal(0.5, 1.0)),
+            (make_pmf("empirical", [20, 63, 84, 33]), make_pmf("binomial", (3, 0.55))),
+        ]
+        for f, g in pairs:
+            own, rec = info_moments(f, f), info_moments(f, g)
+            for field, reader in READERS.items():
+                if field in ("H", "VarH"):
+                    assert reader(f) == getattr(own, field), field
+                else:
+                    assert reader(f, g) == getattr(rec, field), field
+        pmf_readers = (
+            entropy_pmf,
+            varentropy_pmf,
+            inaccuracy_pmf,
+            varinaccuracy_pmf,
+            kl_pmf,
+            var_kl_pmf,
+            log_log_cov_pmf,
+        )
+        assert all(p is r for p, r in zip(pmf_readers, READERS.values(), strict=True))
 
     def test_corner_pair_matches_reference_values(self):
         # Values of the six separate integrations this record replaced.
