@@ -53,7 +53,23 @@ _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _SCALED_WINDOW = 9.0 / math.sqrt(2.0)
 _BLOCK_TERMS = 8192
 
-_erfc = np.vectorize(math.erfc, otypes=[float])
+# math.erfc is 2.0 to the last bit at t <= -6 and 0.0 at t >= 27.5
+# (it leaves 2.0 near -5.86 and reaches 0.0 near 27.23); _erfc calls it
+# only between, where a kernel estimate's cdf and sampler put few of
+# their terms.
+_ERFC_TWO, _ERFC_ZERO = -6.0, 27.5
+
+
+def _erfc(t):
+    """math.erfc over an array, bit for bit."""
+    t = np.asarray(t, dtype=float)
+    two = t <= _ERFC_TWO
+    out = np.where(two, 2.0, 0.0)
+    mid = ~(two | (t >= _ERFC_ZERO))
+    out[mid] = [math.erfc(v) for v in t[mid].tolist()]
+    return out
+
+
 _norm_ppf = np.vectorize(NormalDist().inv_cdf, otypes=[float])
 
 

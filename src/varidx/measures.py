@@ -53,9 +53,11 @@ Each field carries its evaluation route:
   A node whose x rounds onto an end of the support, or beyond it, adds
   an exact 0, so mass below the smallest float is not integrated, and
   ends in an error rather than in moments.  A non-finite integrand is
-  an error too, which names its panel in x.  The quadrature runs only
-  when a field is still missing and fills only those fields; cov =
-  (VarH + VarI - VarK) / 2, so both identities hold to rounding.
+  an error too, which names the lowest of its panels in x, and so is
+  one that does not converge, naming its interval in x.  The
+  quadrature runs only when a field is still missing and fills only
+  those fields; cov = (VarH + VarI - VarK) / 2, so both identities
+  hold to rounding.
   The first row is f's mass: a quadrature that did not see all of it,
   within tol or the row's own estimate, raises
   QuadratureConvergenceError instead of returning moments of part of f.
@@ -479,10 +481,17 @@ def _integrated(f: Density, gs: list, own: dict, closed, tol: float):
     try:
         value, error, panels = quadrature._integrate_vector(rows, *ends, tol)
     except quadrature._NonFinite as exc:
-        # Name the panel in x, not in the quadrature's variable.
+        # Name the panels in x, not in the quadrature's variable.
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            x = x_of(np.array(exc.panel, dtype=float))
-        raise quadrature._NonFinite(*sorted(float(v) for v in x)) from None
+            x = x_of(exc.panels)
+        raise quadrature._NonFinite(x) from None
+    except QuadratureConvergenceError as exc:
+        raise QuadratureConvergenceError(
+            f"{exc} on ({lo:g}, {hi:g})",
+            value=exc.value,
+            abs_error_estimate=exc.abs_error_estimate,
+            subdivisions=exc.subdivisions,
+        ) from None
     mass = float(value[0])
     if not abs(mass - 1.0) <= max(tol, float(error[0])) + _MASS_TOL:
         raise QuadratureConvergenceError(

@@ -6,12 +6,21 @@ sharing one partition.  Every integral converges by one rule: each row
 is done when its summed error estimate drops below its goal
 ``max(tol, 1e-12 * |value|)``, so paper-scale values are governed by
 the absolute tolerance while values of order 1e8 and beyond (second
-moments at extreme parameter ratios) stay computable.  The panel split
-next is the one whose largest error relative to its row's goal is
-greatest, so a row already within its goal draws no further
-refinement.  Refinement stops after ``MAX_PANELS`` panels with
-:class:`~varidx.errors.QuadratureConvergenceError`, which carries the
-best estimate found.  All
+moments at extreme parameter ratios) stay computable.
+
+Refinement goes in rounds; the start panels are round 0.  Each round
+ranks the panels by their largest error relative to the goal of the
+same row, so a row already within its goal draws no further
+refinement, and splits the fewest of them, in that order, whose errors
+together cover every row's excess over its goal.  The children of all
+of them are evaluated in one call of the integrand, of at most
+``_CALL_PANELS`` panels, and a round never takes the panel count past
+``MAX_PANELS``.  A panel whose ends are adjacent floats cannot be split
+and is parked, its value and error kept in the sums.  Refinement stops
+with :class:`~varidx.errors.QuadratureConvergenceError`, which carries
+the best estimate found and names the interval, after ``MAX_PANELS``
+panels, or at once when the parked panels' error alone exceeds a row's
+goal (the width floor), since no split can lower it.  All
 quadrature nodes are strictly interior, so an integrable endpoint
 singularity is never evaluated; bisection only approaches it, at a cost
 of many panels.  :mod:`varidx.measures` therefore integrates a law on
@@ -38,7 +47,6 @@ transform identity of a pushforward, and it stays public because
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -60,6 +68,11 @@ DEFAULT_TOL = 1e-9
 MAX_PANELS = 1 << 15
 # The relative floor of every row's goal.
 _REL_TOL = 1e-12
+# One call of the integrand evaluates at most _CALL_PANELS panels, so a
+# round splits at most half as many: 3840 nodes per row, 30 KB per row
+# of the integrand's output, however many panels the round's errors
+# ask for.  The benchmark's largest call is 16 panels.
+_CALL_PANELS = 256
 
 _EPS = np.finfo(float).eps
 
@@ -116,28 +129,34 @@ class IntegralResult:
 
 
 class _NonFinite(InvalidParameterError):
-    """The integrand was not finite on the panel (a, b); raised in the
-    variable the panels cut, then again by :func:`_integrate_vector`
-    with the panel mapped back to the integrand's variable."""
+    """The integrand was not finite on the panels ``ends``, a (k, 2)
+    array; the message names the lowest of them.  Raised in the variable
+    the panels cut, then again in the integrand's own variable by
+    :func:`_integrate_vector` and by :mod:`varidx.measures` in x."""
 
-    def __init__(self, a: float, b: float):
+    def __init__(self, ends):
+        ends = np.sort(np.asarray(ends, dtype=float).reshape(-1, 2), axis=1)
+        self.panels = ends[np.argsort(ends[:, 0], kind="stable")]
+        a, b = (float(v) for v in self.panels[0])
         super().__init__(f"integrand returned a non-finite value inside ({a!r}, {b!r})")
-        self.panel = (a, b)
 
 
-def _panel_rule(h, a: float, b: float):
-    """Apply the 15-point rule to one panel; h returns shape (m, k) data."""
+def _panel_rule(h, a: np.ndarray, b: np.ndarray):
+    """Apply the 15-point rule to the panels (a[i], b[i]) in one call of
+    h, which returns shape (m, 15 P) data; returns (m, P) values and
+    errors."""
     center = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    x = center + half * _NODES
-    fx = np.atleast_2d(np.asarray(h(x), dtype=float))
-    if not np.all(np.isfinite(fx)):
-        raise _NonFinite(a, b)
+    x = (center[:, None] + half[:, None] * _NODES).ravel()
+    fx = np.atleast_2d(np.asarray(h(x), dtype=float)).reshape(-1, a.size, _NODES.size)
+    bad = ~np.isfinite(fx).all(axis=(0, 2))
+    if np.any(bad):
+        raise _NonFinite(np.stack([a[bad], b[bad]], axis=1))
     fsum = fx @ _WGK
     resk = fsum * half
-    resg = (fx[:, _GAUSS_IDX] @ _WG) * half
+    resg = (fx[..., _GAUSS_IDX] @ _WG) * half
     resabs = (np.abs(fx) @ _WGK) * half
-    resasc = (np.abs(fx - 0.5 * fsum[:, None]) @ _WGK) * half
+    resasc = (np.abs(fx - 0.5 * fsum[..., None]) @ _WGK) * half
     err = np.abs(resk - resg)
     rescale = (resasc > 0.0) & (err > 0.0)
     if np.any(rescale):
@@ -151,32 +170,42 @@ def _panel_rule(h, a: float, b: float):
 
 def _adaptive(h, edges, tol: float):
     """Globally adaptive refinement of the integrals of the rows of h,
-    starting from one panel between each pair of consecutive edges.
+    in rounds, starting from one panel between each pair of consecutive
+    edges (round 0).
 
-    Converges when every component's summed error estimate drops below
-    ``max(tol, _REL_TOL * |component value|)``, within ``MAX_PANELS``
-    panels.
+    Converges when every row's summed error estimate drops below
+    ``max(tol, _REL_TOL * |row value|)``, within ``MAX_PANELS`` panels.
+    Returns the values, the errors and the panel count, start panels
+    plus splits.
     """
-    start = [(a, b, *_panel_rule(h, a, b)) for a, b in zip(edges[:-1], edges[1:])]
-    tot_val = sum(val for _, _, val, _ in start)
-    tot_err = sum(err for _, _, _, err in start)
-    goal = np.maximum(tol, _REL_TOL * np.abs(tot_val))
-    # Panels are keyed by their largest error relative to the goal of
-    # the same component, the quantity the convergence test uses.
-    heap = [
-        (-float(np.max(err / goal)), i, a, b, val, err)
-        for i, (a, b, val, err) in enumerate(start)
-    ]
-    heapq.heapify(heap)
-    counter = n_panels = len(heap)
-    frozen: list[tuple[np.ndarray, np.ndarray]] = []
-
-    while heap:
-        goal = np.maximum(tol, _REL_TOL * np.abs(tot_val))
-        if np.all(tot_err <= goal):
-            break
+    a = np.asarray(edges[:-1], dtype=float)
+    b = np.asarray(edges[1:], dtype=float)
+    val, err = _panel_rule(h, a, b)
+    n_panels = a.size
+    # Sums over the parked panels, whose ends are adjacent floats.
+    parked_val = parked_err = 0.0
+    while True:
+        mid = 0.5 * (a + b)
+        live = (a < mid) & (mid < b)
+        if not np.all(live):
+            parked_val += val[:, ~live].sum(axis=1)
+            parked_err += err[:, ~live].sum(axis=1)
+            a, b, mid, val, err = a[live], b[live], mid[live], val[:, live], err[:, live]
+        value = val.sum(axis=1) + parked_val
+        error = err.sum(axis=1) + parked_err
+        goal = np.maximum(tol, _REL_TOL * np.abs(value))
+        excess = error - goal
+        if np.all(excess <= 0.0):
+            return value, error, n_panels
+        if np.any(parked_err > goal):
+            raise QuadratureConvergenceError(
+                f"panels exhausted at width floor with error "
+                f"{float(error.max()):.3e} > tol {tol:.3e}",
+                value=value,
+                abs_error_estimate=error,
+                subdivisions=n_panels,
+            )
         if n_panels >= MAX_PANELS:
-            value, error = _collect(heap, frozen)
             raise QuadratureConvergenceError(
                 f"no convergence after {n_panels} panels "
                 f"(error {float(error.max()):.3e} > tol {tol:.3e})",
@@ -184,41 +213,22 @@ def _adaptive(h, edges, tol: float):
                 abs_error_estimate=error,
                 subdivisions=n_panels,
             )
-        _, _, pa, pb, pval, perr = heapq.heappop(heap)
-        mid = 0.5 * (pa + pb)
-        if not pa < mid < pb:
-            # Panel endpoints are adjacent floats; park it as is.
-            frozen.append((pval, perr))
-            continue
-        tot_val -= pval
-        tot_err -= perr
-        v1, e1 = _panel_rule(h, pa, mid)
-        v2, e2 = _panel_rule(h, mid, pb)
-        tot_val += v1 + v2
-        tot_err += e1 + e2
-        heapq.heappush(heap, (-float(np.max(e1 / goal)), counter, pa, mid, v1, e1))
-        counter += 1
-        heapq.heappush(heap, (-float(np.max(e2 / goal)), counter, mid, pb, v2, e2))
-        counter += 1
-        n_panels += 1
-
-    value, error = _collect(heap, frozen)
-    goal = np.maximum(tol, _REL_TOL * np.abs(value))
-    if not np.all(error <= goal):
-        raise QuadratureConvergenceError(
-            f"panels exhausted at width floor with error "
-            f"{float(error.max()):.3e} > tol {tol:.3e}",
-            value=value,
-            abs_error_estimate=error,
-            subdivisions=n_panels,
-        )
-    return value, error, n_panels
-
-
-def _collect(heap, frozen):
-    """Exact (non-incremental) sums over all live and parked panels."""
-    parts = [(pval, perr) for _, _, _, _, pval, perr in heap] + frozen
-    return sum(v for v, _ in parts), sum(e for _, e in parts)
+        # Split the fewest panels, by largest error relative to the goal
+        # of the same row, whose errors cover every row's excess.
+        order = np.argsort(-np.max(err / goal[:, None], axis=0), kind="stable")
+        short = np.cumsum(err[:, order], axis=1) < excess[:, None]
+        k = int(short.sum(axis=1).max()) + 1
+        split = order[: min(k, MAX_PANELS - n_panels, _CALL_PANELS // 2)]
+        keep = np.ones(a.size, dtype=bool)
+        keep[split] = False
+        new_a = np.concatenate([a[split], mid[split]])
+        new_b = np.concatenate([mid[split], b[split]])
+        new_val, new_err = _panel_rule(h, new_a, new_b)
+        a = np.concatenate([a[keep], new_a])
+        b = np.concatenate([b[keep], new_b])
+        val = np.concatenate([val[:, keep], new_val], axis=1)
+        err = np.concatenate([err[:, keep], new_err], axis=1)
+        n_panels += split.size
 
 
 def change_of_variables(lo: float, hi: float):
@@ -276,14 +286,13 @@ def _mapped(h, lo: float, hi: float):
 
 def _integrate_vector(h, lo, hi, tol):
     """:func:`_adaptive` over (lo, hi) through :func:`_mapped`; a
-    non-finite integrand is reported on its panel in h's variable."""
+    non-finite integrand is reported on its panels in h's variable."""
     if not tol > 0.0:
         raise InvalidParameterError("tol must be positive")
     try:
         return _adaptive(*_mapped(h, lo, hi), tol)
     except _NonFinite as exc:
-        x = change_of_variables(lo, hi)[0](np.array(exc.panel))
-        raise _NonFinite(*(float(v) for v in x)) from None
+        raise _NonFinite(change_of_variables(lo, hi)[0](exc.panels)) from None
 
 
 def integrate(
@@ -315,7 +324,7 @@ def integrate(
         value, error, n = _integrate_vector(h, lo, hi, tol)
     except QuadratureConvergenceError as exc:
         raise QuadratureConvergenceError(
-            str(exc),
+            f"{exc} on ({lo:g}, {hi:g})",
             value=float(np.asarray(exc.value).ravel()[0]),
             abs_error_estimate=float(np.asarray(exc.abs_error_estimate).ravel()[0]),
             subdivisions=exc.subdivisions,

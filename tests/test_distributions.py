@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from varidx import distributions
 from varidx.distributions import (
     Density,
     Exponential,
@@ -352,6 +353,21 @@ class TestWindowedMixture:
             assert np.all(err <= 1e-12 * ref + far)
             bulk = ref >= 1e-4 * ref.max()
             assert np.all(err[bulk] <= 1e-12 * ref[bulk])
+
+    def test_erfc_is_math_erfc_bit_for_bit(self):
+        # The kernel cdf and the sampler skip math.erfc where it is a
+        # constant, 2.0 or 0.0; both thresholds and their neighbours
+        # are on the grid.
+        t = np.concatenate(
+            [
+                np.linspace(-42.0, 42.0, 210_001),
+                [distributions._ERFC_TWO, distributions._ERFC_ZERO, -math.inf, math.inf],
+                np.nextafter([distributions._ERFC_TWO, distributions._ERFC_ZERO], 0.0),
+            ]
+        )
+        got = distributions._erfc(t)
+        assert np.array_equal(got.view(np.uint64), _erfc(t).view(np.uint64))
+        assert np.array_equal(distributions._erfc(t[:210_000].reshape(-1, 2)).ravel(), got[:210_000])
 
 
 class TestSampling:

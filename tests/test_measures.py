@@ -743,6 +743,12 @@ class TestInfoMoments:
         loose = info_moments(Power(0.3), Weibull2(0.5, 1.0), method="quadrature", tol=0.1)
         assert abs(loose.H.value - entropy(Power(0.3)).value) <= 0.1
 
+    def test_convergence_error_names_its_interval_in_x(self, monkeypatch):
+        # Integrated in u = log x on (-inf, inf); the error names x's (0, inf).
+        monkeypatch.setattr(quadrature, "MAX_PANELS", 2)
+        with pytest.raises(QuadratureConvergenceError, match=r"after 2 panels .* on \(0, inf\)$"):
+            info_moments(Exponential(1.0), Weibull2(1.6, 0.8), method="quadrature")
+
     def test_small_missed_bump_is_an_error(self):
         # The mass check's slack follows tol: a far bump of mass 5e-7,
         # which the nodes miss, would skew H by about 1e-5 while its
@@ -877,6 +883,30 @@ class TestPushforwardInBaseVariable:
         panels = _panel_counts(monkeypatch)
         info_moments(f, gs)
         assert panels == [panels[0]] and panels[0] <= 9
+
+    def test_murthy41_fit_takes_one_call_per_round(self, monkeypatch):
+        # Each refinement round evaluates all the panels it splits in
+        # one call of the integrand, and the partition is the one the
+        # panel-by-panel refinement reached, to within each K's estimate.
+        sizes, panels = [], []
+        inner = quadrature._integrate_vector
+
+        def counted(h, *args):
+            def h_counted(x):
+                sizes.append(x.size)
+                return h(x)
+
+            value, error, n = inner(h_counted, *args)
+            panels.append(n)
+            return value, error, n
+
+        monkeypatch.setattr(quadrature, "_integrate_vector", counted)
+        values = datasets.load("murthy41")
+        records = info_moments(kde(SampleData(values)), _fitted(values))
+        assert len(sizes) <= 5 and sum(sizes) == 255 and panels == [9]
+        previous = [0.09454025131376448, 0.03174002392666986, 0.09494375769801025]
+        for rec, k in zip(records, previous, strict=True):
+            assert abs(rec.K.value - k) <= rec.K.abs_error_estimate
 
     def test_exp_of_uniform(self, monkeypatch):
         # X = e^U, U ~ Uniform(0, 80): H = log 80 + E[U] and VarH = Var U.

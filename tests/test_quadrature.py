@@ -66,6 +66,68 @@ def test_divergent_integrand_raises_with_best_estimate(monkeypatch):
     assert exc.value.value > 10.0  # partial sums of a log-divergent integral
 
 
+def test_convergence_error_names_its_interval(monkeypatch):
+    monkeypatch.setattr(quadrature, "MAX_PANELS", 64)
+    with pytest.raises(QuadratureConvergenceError, match=r"on \(0, 1\)$"):
+        integrate(lambda x: 1.0 / x, (0.0, 1.0))
+    with pytest.raises(QuadratureConvergenceError, match=r"on \(-inf, 2\)$"):
+        integrate(lambda x: 1.0 / (2.0 - x), (-math.inf, 2.0))
+
+
+@pytest.mark.parametrize(
+    "h", [lambda x: np.sin(1.0 / x), lambda x: np.sin(1.0 / x) / x], ids=["sin(1/x)", "sin(1/x)/x"]
+)
+def test_oscillation_stops_within_max_panels(h):
+    # Near 0 these never settle.  No call takes more than _CALL_PANELS
+    # panels, and the last round stops exactly at MAX_PANELS.
+    nodes = []
+
+    def counted(x):
+        nodes.append(x.size)
+        return h(x)
+
+    with pytest.raises(QuadratureConvergenceError, match="no convergence") as exc:
+        integrate(counted, (0.0, 1.0))
+    assert exc.value.subdivisions == quadrature.MAX_PANELS
+    assert max(nodes) <= 15 * quadrature._CALL_PANELS
+    assert sum(nodes) == 15 * (2 * quadrature.MAX_PANELS - 1)
+
+
+def test_width_floor_stops_at_once():
+    # A simple pole at a float m whose last bit is odd, on an interval
+    # symmetric about it: the integral is 0, so the goal is tol.  The
+    # panels next to m narrow to adjacent floats, where every node
+    # rounds onto the far end and the error stays at its rounding
+    # floor, above tol.  Refinement stops there, not at MAX_PANELS.
+    m = 0.75 + 2.0**-53
+    calls = []
+
+    def h(x):
+        calls.append(x.size)
+        with np.errstate(divide="ignore"):
+            return np.where(x == m, 0.0, 1.0 / (x - m))
+
+    with pytest.raises(QuadratureConvergenceError, match="width floor") as exc:
+        integrate(h, (m - 0.125, m + 0.125), tol=1e-15)
+    assert exc.value.subdivisions < quadrature.MAX_PANELS // 4
+    assert len(calls) < 60
+
+
+def test_non_finite_integrand_names_the_lowest_panel():
+    # Not finite on both start panels of the whole line, (-inf, 0) and
+    # (0, inf) in x: the error names the lower one.
+    def h(x):
+        return np.where(np.abs(np.abs(x) - 1.0) < 0.5, np.nan, np.exp(-x * x))
+
+    with pytest.raises(InvalidParameterError, match=r"inside \(-inf, 0\.0\)"):
+        integrate(h, (-math.inf, math.inf))
+    # So it does whatever the order of the panels in the call.
+    with pytest.raises(quadrature._NonFinite) as exc:
+        quadrature._panel_rule(h, np.array([0.5, -2.0, 3.0]), np.array([1.5, -0.5, 4.0]))
+    assert exc.value.panels.tolist() == [[-2.0, -0.5], [0.5, 1.5]]
+    assert "inside (-2.0, -0.5)" in str(exc.value)
+
+
 def test_tail_scale_keeps_zeros_at_the_infinite_end():
     # On the whole line, t = 0 and t = 1 are x = -inf and x = inf, where
     # dx/dt is infinite: a zero there stays an exact 0 and a nonzero
