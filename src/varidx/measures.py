@@ -47,7 +47,14 @@ Each field carries its evaluation route:
     power-type laws at 0 become exponential tails in u, which the
     quadrature's map of infinite ends integrates in a few panels,
     instead of singularities that bisection can only approach; with
-    hi = inf, u runs over the whole line;
+    hi = inf, u runs over the whole line.  The nodes run over w, with
+    u = c + s w centred on f's bulk: c is the median of log X and s
+    its interquartile range, both read from f's table entry, whose
+    standard variable has known quartiles, so they never pass through
+    x, where they may underflow.  The quadrature's start panels
+    cluster about w = 0, so they cover f's mass however narrow f is
+    and however far from x = 1 it lies.  A law without a table entry
+    keeps u itself;
   - any other law is integrated in x itself.
 
   A node whose x rounds onto an end of the support, or beyond it, adds
@@ -83,6 +90,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
@@ -506,8 +514,8 @@ def _integrated(f: Density, gs: list, own: dict, closed, tol: float):
 
 def _variable(d: Density, lo: float, hi: float):
     """The variable v in which d's rows are integrated over (lo, hi):
-    a pushforward's base variable, log x on (0, hi), or x (see the
-    module docstring).
+    a pushforward's base variable, log x on (0, hi) centred on d's bulk
+    by :func:`_bulk`, or x (see the module docstring).
 
     Returns (ends, x_of, weigh): the ends of v's interval, x as a
     function of v, and weigh(v) = (x, log d(x), d(x) dx/dv) at the
@@ -534,20 +542,49 @@ def _variable(d: Density, lo: float, hi: float):
 
         return ends, lambda v: d.phi(y_of(v)), weigh
     if lo == 0.0:
+        c, s = _bulk(d)
 
-        def weigh(u):
-            x = np.exp(u)
+        def x_of(w):
+            return np.exp(c + s * w)
+
+        def weigh(w):
+            x = x_of(w)
             a = d.log_pdf(x)
             p = np.exp(a)
-            return x, a, np.multiply(p, x, out=p, where=p > 0.0)
+            return x, a, np.multiply(p, s * x, out=p, where=p > 0.0)
 
-        return (-math.inf, math.log(hi)), np.exp, weigh
+        return (-math.inf, (math.log(hi) - c) / s), x_of, weigh
 
     def weigh(x):
         a = d.log_pdf(x)
         return x, a, np.exp(a)
 
     return (lo, hi), (lambda x: x), weigh
+
+
+# The median and the interquartile range of each standard variable of
+# _log_law: log of an Exp(1) draw, log of a Uniform(0, 1) draw, N(0, 1).
+_STANDARD_BULK = {
+    _log_exp_moment: (math.log(math.log(2.0)), math.log(math.log(4.0) / math.log(4.0 / 3.0))),
+    _log_uniform_moment: (-math.log(2.0), math.log(3.0)),
+    _normal_moment: (0.0, 2.0 * NormalDist().inv_cdf(0.75)),
+}
+
+
+def _bulk(d: Density):
+    """(c, s): the median of log X under d and its interquartile range,
+    so that log x = c + s w puts d's median at w = 0 and its quartiles
+    one unit apart; (0, 1) for a law without a table entry, or whose
+    quartiles in log x overflow.  The quartiles are those of _log_law's
+    standard variable, taken to log x by its affine map, never through
+    x, where they may under- or overflow."""
+    law = _log_law(d)
+    if law is None:
+        return 0.0, 1.0
+    alpha, beta = law[:2]
+    median, iqr = _STANDARD_BULK[law[3]]
+    c, s = alpha + beta * median, beta * iqr
+    return (c, s) if math.isfinite(c) and 0.0 < s < math.inf else (0.0, 1.0)
 
 
 def _summed(P: FinitePMF, Qs: list):

@@ -8,7 +8,15 @@ is done when its summed error estimate drops below its goal
 the absolute tolerance while values of order 1e8 and beyond (second
 moments at extreme parameter ratios) stay computable.
 
-Refinement goes in rounds; the start panels are round 0.  Each round
+Refinement goes in rounds; the start panels are round 0: each interval
+between consecutive start edges is cut into ``_START_PANELS`` equal
+panels, which count against ``MAX_PANELS``.  A call of the integrand
+costs a fixed 0.3 ms or so of numpy work at the package's sizes, while
+a parametric node costs about 1 us, so a round saved pays for some 300
+nodes: starting from panels that already cover f's bulk (the variable
+of :mod:`varidx.measures` is centred on it) takes fewer rounds than
+halving down to it from one panel, and a narrow law no longer falls
+between the nodes of the first call.  Each round
 ranks the panels by their largest error relative to the goal of the
 same row, so a row already within its goal draws no further
 refinement, and splits the fewest of them, in that order, whose errors
@@ -31,7 +39,7 @@ Every interval goes through one change of variables,
 :func:`change_of_variables`, before refinement starts: a finite
 interval stays as it is, and an infinite end is mapped onto
 ``t in (0, 1)`` by QUADPACK's QAGI substitution.  The whole line is one
-map whose two start panels meet at x = 0, refined under one tolerance
+map whose two start intervals meet at x = 0, refined under one tolerance
 and one convergence test.  The density probe grid and the pdf-level
 bisection in :mod:`varidx.distributions` use the same map.
 
@@ -71,8 +79,10 @@ _REL_TOL = 1e-12
 # One call of the integrand evaluates at most _CALL_PANELS panels, so a
 # round splits at most half as many: 3840 nodes per row, 30 KB per row
 # of the integrand's output, however many panels the round's errors
-# ask for.  The benchmark's largest call is 16 panels.
+# ask for.  The benchmark's largest call is 18 panels.
 _CALL_PANELS = 256
+# Round 0's equal panels per start interval (see the module docstring).
+_START_PANELS = 8
 
 _EPS = np.finfo(float).eps
 
@@ -170,16 +180,17 @@ def _panel_rule(h, a: np.ndarray, b: np.ndarray):
 
 def _adaptive(h, edges, tol: float):
     """Globally adaptive refinement of the integrals of the rows of h,
-    in rounds, starting from one panel between each pair of consecutive
-    edges (round 0).
+    in rounds, starting from ``_START_PANELS`` equal panels between each
+    pair of consecutive edges (round 0).
 
     Converges when every row's summed error estimate drops below
     ``max(tol, _REL_TOL * |row value|)``, within ``MAX_PANELS`` panels.
     Returns the values, the errors and the panel count, start panels
     plus splits.
     """
-    a = np.asarray(edges[:-1], dtype=float)
-    b = np.asarray(edges[1:], dtype=float)
+    edges = np.asarray(edges, dtype=float)
+    cuts = np.linspace(edges[:-1], edges[1:], _START_PANELS + 1, axis=1)
+    a, b = cuts[:, :-1].ravel(), cuts[:, 1:].ravel()
     val, err = _panel_rule(h, a, b)
     n_panels = a.size
     # Sums over the parked panels, whose ends are adjacent floats.
@@ -240,7 +251,7 @@ def change_of_variables(lo: float, hi: float):
     x = c + t / (1 - t) toward +inf and x = c - (1 - t) / t toward
     -inf, c being the finite end.  The whole line takes their sum
     x = t / (1 - t) - (1 - t) / t, with edges (0, 1/2, 1): its two start
-    panels meet at x = 0.  A t that rounds to 0 or 1 maps onto the
+    intervals meet at x = 0.  A t that rounds to 0 or 1 maps onto the
     infinite end, and dx/dt there is inf, without a warning.
     """
     up, down = math.isinf(hi), math.isinf(lo)

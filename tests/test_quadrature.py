@@ -1,6 +1,7 @@
 """Adaptive integrator checks against known closed forms."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -79,7 +80,8 @@ def test_convergence_error_names_its_interval(monkeypatch):
 )
 def test_oscillation_stops_within_max_panels(h):
     # Near 0 these never settle.  No call takes more than _CALL_PANELS
-    # panels, and the last round stops exactly at MAX_PANELS.
+    # panels, and the last round stops exactly at MAX_PANELS: the start
+    # panels are evaluated once, every later panel as one of a pair.
     nodes = []
 
     def counted(x):
@@ -90,7 +92,7 @@ def test_oscillation_stops_within_max_panels(h):
         integrate(counted, (0.0, 1.0))
     assert exc.value.subdivisions == quadrature.MAX_PANELS
     assert max(nodes) <= 15 * quadrature._CALL_PANELS
-    assert sum(nodes) == 15 * (2 * quadrature.MAX_PANELS - 1)
+    assert sum(nodes) == 15 * (2 * quadrature.MAX_PANELS - quadrature._START_PANELS)
 
 
 def test_width_floor_stops_at_once():
@@ -114,13 +116,17 @@ def test_width_floor_stops_at_once():
 
 
 def test_non_finite_integrand_names_the_lowest_panel():
-    # Not finite on both start panels of the whole line, (-inf, 0) and
-    # (0, inf) in x: the error names the lower one.
+    # Not finite on start panels on both sides of x = 0: the error names
+    # the lowest of them in x, the one of t in (5/16, 6/16) among the
+    # whole line's 16 start panels.
     def h(x):
         return np.where(np.abs(np.abs(x) - 1.0) < 0.5, np.nan, np.exp(-x * x))
 
-    with pytest.raises(InvalidParameterError, match=r"inside \(-inf, 0\.0\)"):
+    assert quadrature._START_PANELS == 8
+    lo, hi = quadrature.change_of_variables(-math.inf, math.inf)[0](np.array([0.3125, 0.375])).tolist()
+    with pytest.raises(InvalidParameterError, match=re.escape(f"inside ({lo!r}, {hi!r})")):
         integrate(h, (-math.inf, math.inf))
+    assert -1.75 < lo < -1.5 < hi < -1.0
     # So it does whatever the order of the panels in the call.
     with pytest.raises(quadrature._NonFinite) as exc:
         quadrature._panel_rule(h, np.array([0.5, -2.0, 3.0]), np.array([1.5, -0.5, 4.0]))
