@@ -28,6 +28,7 @@ from . import datasets, errors
 from .bounds import _generic_bounds, exp_pair_bound, uniform_power_bound
 from .distributions import (
     _FAMILIES,
+    _kind,
     Exponential,
     Power,
     SampleData,
@@ -56,16 +57,6 @@ from .measures import (  # noqa: F401
 )
 from .selection import prefer_auto, rank
 
-# Short spellings the CLI prints; arities come from distributions._FAMILIES.
-_SHORT = {"exponential": "exp", "weibull2": "w2"}
-# CLI spelling -> (make_pmf family, arity).
-_DISCRETE = {
-    "binomial": ("binomial", 2),
-    "betabin": ("beta_binomial", 3),
-    "dunif": ("discrete_uniform", 1),
-}
-
-
 @dataclass(frozen=True)
 class DistSpec:
     """Parsed textual spec ``family:p1,p2`` with a canonical form."""
@@ -75,7 +66,7 @@ class DistSpec:
 
     @property
     def kind(self) -> str:
-        return "discrete" if self.family in _DISCRETE else "continuous"
+        return _kind(self.family)
 
     def format(self) -> str:
         if not self.params:
@@ -83,24 +74,20 @@ class DistSpec:
         return self.family + ":" + ",".join(repr(float(p)) for p in self.params)
 
     def to_distribution(self):
-        if self.kind == "continuous":
-            return make_distribution(self.family, self.params)
-        return make_pmf(_DISCRETE[self.family][0], self.params)
+        build = make_distribution if self.kind == "continuous" else make_pmf
+        return build(self.family, self.params)
 
 
 def parse_dist_spec(text: str) -> DistSpec:
-    """Parse ``family[:p1,p2,...]``, annotating errors with position."""
+    """Parse ``family[:p1,p2,...]``, annotating errors with position; the
+    spec keeps the printed spelling of any spelling in ``_FAMILIES``."""
     head, sep, tail = text.partition(":")
-    family = head.strip().lower()
-    if family in _FAMILIES:
-        arity = _FAMILIES[family][1]
-        family = _SHORT.get(family, family)
-    elif family in _DISCRETE:
-        arity = _DISCRETE[family][1]
-    else:
+    entry = _FAMILIES.get(head.strip().lower())
+    if entry is None:
         raise SpecParseError(
             f"unknown family '{head}' at position 0 in '{text}'", position=0
         )
+    family, _, arity = entry
     if not sep:
         return DistSpec(family, ())
     params = []
@@ -138,7 +125,12 @@ def _parse_grid(text: str) -> np.ndarray:
         ) from None
     if step <= 0 or stop < start:
         raise SpecParseError(f"grid '{text}' must have step > 0 and stop >= start")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    steps = (stop - start) / step
+    # At most 10^6 steps, where README's largest grid takes 79; a nan or
+    # an infinite end fails this test too.
+    if not (steps <= 1e6 and math.isfinite(step)):
+        raise SpecParseError(f"grid '{text}' must be finite and take at most 10^6 steps")
+    count = int(math.floor(steps + 1e-9)) + 1
     return start + step * np.arange(count)
 
 
@@ -337,6 +329,15 @@ def cmd_bounds(args) -> int:
 # fit
 # ----------------------------------------------------------------------
 
+# The fitters of bare names.  Each looks its function up in this module
+# when it is called, so a wrapper later set on that name sees the call.
+_FITTERS = {
+    "w2": lambda sample: fit_weibull_mle(sample),
+    "lognormal": lambda sample: fit_lognormal_mle(sample),
+    "binomial": lambda counts: fit_binomial_p(counts, len(counts) - 1),
+}
+
+
 def _resolve_candidate(spec: DistSpec, data):
     """Resolve a candidate spec into (label, law, fitted, fit_info).
 
@@ -345,16 +346,11 @@ def _resolve_candidate(spec: DistSpec, data):
     """
     if spec.params:
         return spec.format(), spec.to_distribution(), False, None
-    if spec.family == "w2":
-        fit = fit_weibull_mle(data)
-    elif spec.family == "lognormal":
-        fit = fit_lognormal_mle(data)
-    elif spec.family == "binomial":
-        fit = fit_binomial_p(data, len(data) - 1)
-    else:
+    if spec.family not in _FITTERS:
         raise errors.InvalidParameterError(
             f"no fitter for bare family '{spec.family}'; give explicit parameters"
         )
+    fit = _FITTERS[spec.family](data)
     fitted = DistSpec(spec.family, fit.params)
     return fitted.format(), fitted.to_distribution(), True, asdict(fit)
 

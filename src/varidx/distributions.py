@@ -573,7 +573,9 @@ class LogKernelDensity(Pushforward):
 def _map_endpoint(phi, endpoint, near_x, near_y):
     """Image of a support endpoint under phi (inf endpoints included)."""
     try:
-        val = float(phi(endpoint))
+        # A numpy phi warns where its value is infinite, as log at 0.
+        with np.errstate(all="ignore"):
+            val = float(phi(endpoint))
     except (OverflowError, ValueError, ZeroDivisionError):
         val = math.nan
     if not math.isnan(val):
@@ -625,10 +627,12 @@ class FinitePMF:
         return f"FinitePMF({self.family}, n={len(self.labels)})"
 
 
-def _check_integer(value, name):
+def _check_count(value, name, least):
     v = float(value)
     if not (math.isfinite(v) and v == int(v)):
         raise InvalidParameterError(f"{name} must be an integer, got {value}")
+    if v < least:
+        raise InvalidParameterError(f"{name} must be >= {least}, got {int(v)}")
     return int(v)
 
 
@@ -639,74 +643,58 @@ def _log_choose(n: int, k) -> np.ndarray:
     )
 
 
+def _binomial(n, p) -> FinitePMF:
+    n = _check_count(n, "binomial n", 1)
+    p = float(p)
+    if not 0.0 < p < 1.0:
+        raise InvalidParameterError(f"binomial p must be in (0, 1), got {p}")
+    k = np.arange(n + 1)
+    logp = _log_choose(n, k) + k * math.log(p) + (n - k) * math.log1p(-p)
+    probs = np.exp(logp)
+    return FinitePMF(tuple(k.tolist()), probs / probs.sum(), "binomial", (n, p))
+
+
+def _beta_binomial(n, a, b) -> FinitePMF:
+    n = _check_count(n, "beta_binomial n", 1)
+    a, b = float(a), float(b)
+    if not (a > 0.0 and b > 0.0):
+        raise InvalidParameterError(f"beta_binomial alpha and beta must be > 0, got ({a}, {b})")
+    if not math.isfinite(a + b + n):
+        raise OutOfRangeError(f"beta_binomial alpha + beta ({a:g} + {b:g}) overflows a float")
+    # P(k) = C(n, k) prod_{j<k} (a + j) prod_{j<n-k} (b + j)
+    # / prod_{j<n} (a + b + j), summed in logs.  Each term is the log
+    # of a float, below 745 in size; lbeta through lgamma instead
+    # differences terms near (a + b) log(a + b), which for a huge a
+    # cancel every digit of the result.
+    k = np.arange(n + 1)
+    j = np.arange(n)
+    rise_a = np.concatenate([[0.0], np.cumsum(np.log(a + j))])
+    rise_b = np.concatenate([[0.0], np.cumsum(np.log(b + j))])
+    logp = _log_choose(n, k) + rise_a + rise_b[::-1] - np.sum(np.log(a + b + j))
+    probs = np.exp(logp)
+    return FinitePMF(tuple(k.tolist()), probs / probs.sum(), "beta_binomial", (n, a, b))
+
+
+def _discrete_uniform(k) -> FinitePMF:
+    k = _check_count(k, "discrete_uniform k", 2)
+    return FinitePMF(tuple(range(k)), np.full(k, 1.0 / k), "discrete_uniform", (k,))
+
+
 def make_pmf(family: str, params) -> FinitePMF:
-    """Construct a finite pmf: binomial, beta_binomial, discrete_uniform
-    or empirical (counts are normalized by their total)."""
-    params = list(params)
-    if family == "binomial":
-        if len(params) != 2:
-            raise InvalidParameterError("binomial takes (n, p)")
-        n = _check_integer(params[0], "binomial n")
-        p = float(params[1])
-        if n < 1:
-            raise InvalidParameterError(f"binomial n must be >= 1, got {n}")
-        if not 0.0 < p < 1.0:
-            raise InvalidParameterError(f"binomial p must be in (0, 1), got {p}")
-        k = np.arange(n + 1)
-        logp = _log_choose(n, k) + k * math.log(p) + (n - k) * math.log1p(-p)
-        probs = np.exp(logp)
-        return FinitePMF(tuple(k.tolist()), probs / probs.sum(), "binomial", (n, p))
-    if family == "beta_binomial":
-        if len(params) != 3:
-            raise InvalidParameterError("beta_binomial takes (n, alpha, beta)")
-        n = _check_integer(params[0], "beta_binomial n")
-        a, b = float(params[1]), float(params[2])
-        if n < 1:
-            raise InvalidParameterError(f"beta_binomial n must be >= 1, got {n}")
-        if not (a > 0.0 and b > 0.0):
-            raise InvalidParameterError(
-                f"beta_binomial alpha and beta must be > 0, got ({a}, {b})"
-            )
-        if not math.isfinite(a + b + n):
-            raise OutOfRangeError(
-                f"beta_binomial alpha + beta ({a:g} + {b:g}) overflows a float"
-            )
-        # P(k) = C(n, k) prod_{j<k} (a + j) prod_{j<n-k} (b + j)
-        # / prod_{j<n} (a + b + j), summed in logs.  Each term is the log
-        # of a float, below 745 in size; lbeta through lgamma instead
-        # differences terms near (a + b) log(a + b), which for a huge a
-        # cancel every digit of the result.
-        k = np.arange(n + 1)
-        j = np.arange(n)
-        rise_a = np.concatenate([[0.0], np.cumsum(np.log(a + j))])
-        rise_b = np.concatenate([[0.0], np.cumsum(np.log(b + j))])
-        logp = _log_choose(n, k) + rise_a + rise_b[::-1] - np.sum(np.log(a + b + j))
-        probs = np.exp(logp)
-        return FinitePMF(
-            tuple(k.tolist()), probs / probs.sum(), "beta_binomial", (n, a, b)
-        )
-    if family == "discrete_uniform":
-        if len(params) != 1:
-            raise InvalidParameterError("discrete_uniform takes (k,)")
-        k = _check_integer(params[0], "discrete_uniform k")
-        if k < 2:
-            raise InvalidParameterError(f"discrete_uniform k must be >= 2, got {k}")
-        return FinitePMF(
-            tuple(range(k)), np.full(k, 1.0 / k), "discrete_uniform", (k,)
-        )
-    if family == "empirical":
-        counts = np.asarray(params, dtype=float).ravel()
-        if counts.size == 0:
-            raise InvalidParameterError("empirical counts must be non-empty")
-        if np.any(counts < 0.0):
-            raise InvalidParameterError("empirical counts must be nonnegative")
-        total = counts.sum()
-        if not total > 0.0:
-            raise InvalidParameterError("empirical counts must have positive total")
-        return FinitePMF(
-            tuple(range(counts.size)), counts / total, "empirical", tuple(counts)
-        )
-    raise InvalidParameterError(f"unknown pmf family '{family}'")
+    """Construct a finite pmf: ``binomial``, ``betabin`` or ``beta_binomial``,
+    ``dunif`` or ``discrete_uniform`` (the spellings in ``_FAMILIES``), or
+    ``empirical``, which normalizes any number of counts by their total."""
+    if family != "empirical":
+        return _construct(family, params, "discrete")
+    counts = np.asarray(params, dtype=float).ravel()
+    if counts.size == 0:
+        raise InvalidParameterError("empirical counts must be non-empty")
+    if np.any(counts < 0.0):
+        raise InvalidParameterError("empirical counts must be nonnegative")
+    total = counts.sum()
+    if not total > 0.0:
+        raise InvalidParameterError("empirical counts must have positive total")
+    return FinitePMF(tuple(range(counts.size)), counts / total, "empirical", tuple(counts))
 
 
 # ----------------------------------------------------------------------
@@ -743,34 +731,49 @@ class SampleData:
 # Operations
 # ----------------------------------------------------------------------
 
+# The named laws: each accepted spelling -> (the spelling printed for it,
+# its constructor, its number of parameters).  A continuous law's
+# constructor is its Density class, a discrete one's a FinitePMF builder.
 _FAMILIES = {
-    "exponential": (Exponential, 1),
-    "exp": (Exponential, 1),
-    "power": (Power, 1),
-    "uniform": (Uniform, 2),
-    "weibull2": (Weibull2, 2),
-    "w2": (Weibull2, 2),
-    "lognormal": (Lognormal, 2),
+    "exp": ("exp", Exponential, 1),
+    "exponential": ("exp", Exponential, 1),
+    "power": ("power", Power, 1),
+    "uniform": ("uniform", Uniform, 2),
+    "w2": ("w2", Weibull2, 2),
+    "weibull2": ("w2", Weibull2, 2),
+    "lognormal": ("lognormal", Lognormal, 2),
+    "binomial": ("binomial", _binomial, 2),
+    "betabin": ("betabin", _beta_binomial, 3),
+    "beta_binomial": ("betabin", _beta_binomial, 3),
+    "dunif": ("dunif", _discrete_uniform, 1),
+    "discrete_uniform": ("dunif", _discrete_uniform, 1),
 }
 
 
-def make_distribution(family: str, params) -> Density:
-    """Construct a parametric density by family tag and parameter list."""
-    if family in ("kde", "pushforward"):
-        raise InvalidParameterError(
-            f"family '{family}' is built by its dedicated constructor, "
-            "not from a bare parameter list"
-        )
-    try:
-        cls, arity = _FAMILIES[family]
-    except KeyError:
-        raise InvalidParameterError(f"unknown family '{family}'") from None
+def _kind(family: str) -> str | None:
+    """"continuous", "discrete", or None for a name not in ``_FAMILIES``."""
+    if family in _FAMILIES:
+        return "continuous" if isinstance(_FAMILIES[family][1], type) else "discrete"
+    return None
+
+
+def _construct(family: str, params, kind: str):
+    """The law of ``kind`` named ``family``, from its parameter list."""
+    if _kind(family) != kind:
+        what = "pmf family" if kind == "discrete" else "family"
+        raise InvalidParameterError(f"unknown {what} '{family}'")
+    _, build, arity = _FAMILIES[family]
     params = tuple(params)
     if len(params) != arity:
         raise InvalidParameterError(
             f"family '{family}' takes {arity} parameter(s), got {len(params)}"
         )
-    return cls(*params)
+    return build(*params)
+
+
+def make_distribution(family: str, params) -> Density:
+    """Construct a density by a continuous spelling in ``_FAMILIES``."""
+    return _construct(family, params, "continuous")
 
 
 def push_forward(d: Density, phi, phi_inv, phi_deriv) -> Density:

@@ -327,27 +327,35 @@ def _normal_moment(t: float, n: int) -> float:
     return math.exp(0.5 * s) * (1.0, t, 1.0 + s, t * (s + 3.0), (s + 6.0) * s + 3.0)[n]
 
 
+# The standard variables of _log_law, log Exp(1), log Uniform(0, 1) and
+# N(0, 1), each as its moment function, median and interquartile range.
+_LOG_EXP = (_log_exp_moment, math.log(math.log(2.0)), math.log(math.log(4.0) / math.log(4.0 / 3.0)))
+_LOG_UNIFORM = (_log_uniform_moment, -math.log(2.0), math.log(3.0))
+_NORMAL = (_normal_moment, 0.0, 2.0 * NormalDist().inv_cdf(0.75))
+
+
 def _log_law(f: Density):
     """log X under f as alpha + beta v, for a standard variable v.
 
-    Returns (alpha, beta, xpow, moment): x^s = e^{tv} / unit with
-    (t, unit) = xpow(s), and moment(t, n) = E[v^n e^{tv}] for n <= 4 at
-    t = 0 and n <= 2 at t > 0.  None when f has no table entry.
+    Returns (alpha, beta, xpow, moment, median, iqr): x^s = e^{tv} / unit
+    with (t, unit) = xpow(s), moment(t, n) = E[v^n e^{tv}] for n <= 4 at
+    t = 0 and n <= 2 at t > 0, and v's median and interquartile range.
+    None when f has no table entry.
     """
     if isinstance(f, (Exponential, Weibull2)):
         # Y = rate X^k ~ Exp(1); the exponential is shape 1.
         k, lam = getattr(f, "shape", 1.0), f.rate
-        return -math.log(lam) / k, 1.0 / k, lambda s: (s / k, lam ** (s / k)), _log_exp_moment
+        return -math.log(lam) / k, 1.0 / k, lambda s: (s / k, lam ** (s / k)), *_LOG_EXP
     if isinstance(f, Lognormal):
         mu, sigma = f.mu, f.sigma
-        return mu, sigma, lambda s: (s * sigma, math.exp(-s * mu)), _normal_moment
+        return mu, sigma, lambda s: (s * sigma, math.exp(-s * mu)), *_NORMAL
     if isinstance(f, Power):
         # X^a ~ Uniform(0, 1).
         a = f.alpha
-        return 0.0, 1.0 / a, lambda s: (s / a, 1.0), _log_uniform_moment
+        return 0.0, 1.0 / a, lambda s: (s / a, 1.0), *_LOG_UNIFORM
     if isinstance(f, Uniform) and f.support[0] == 0.0:
         c = f.support[1]
-        return math.log(c), 1.0, lambda s: (s, c**-s), _log_uniform_moment
+        return math.log(c), 1.0, lambda s: (s, c**-s), *_LOG_UNIFORM
     return None
 
 
@@ -359,7 +367,7 @@ def _coefficients(d: Density, law):
         return math.log(d._height), {}
     if law is None:
         return None
-    alpha, beta, xpow, _ = law
+    alpha, beta, xpow = law[:3]
     if isinstance(d, (Exponential, Weibull2)):
         k = getattr(d, "shape", 1.0)
         t, unit = xpow(k)
@@ -423,7 +431,6 @@ def _closed_form(f: Density):
                         w[b] = w.get(b, 0.0) - x
                     k, vk = stats((cf[0] - cg[0], w))
                     known.update(K=_clamp(k), VarK=vk)
-                    known.setdefault("cov", 0.5 * (own["VarH"].value + vi - vk))
         except (OverflowError, ZeroDivisionError):
             known = None
         if known is None or not all(map(math.isfinite, known.values())):
@@ -562,15 +569,6 @@ def _variable(d: Density, lo: float, hi: float):
     return (lo, hi), (lambda x: x), weigh
 
 
-# The median and the interquartile range of each standard variable of
-# _log_law: log of an Exp(1) draw, log of a Uniform(0, 1) draw, N(0, 1).
-_STANDARD_BULK = {
-    _log_exp_moment: (math.log(math.log(2.0)), math.log(math.log(4.0) / math.log(4.0 / 3.0))),
-    _log_uniform_moment: (-math.log(2.0), math.log(3.0)),
-    _normal_moment: (0.0, 2.0 * NormalDist().inv_cdf(0.75)),
-}
-
-
 def _bulk(d: Density):
     """(c, s): the median of log X under d and its interquartile range,
     so that log x = c + s w puts d's median at w = 0 and its quartiles
@@ -581,8 +579,7 @@ def _bulk(d: Density):
     law = _log_law(d)
     if law is None:
         return 0.0, 1.0
-    alpha, beta = law[:2]
-    median, iqr = _STANDARD_BULK[law[3]]
+    alpha, beta, _, _, median, iqr = law
     c, s = alpha + beta * median, beta * iqr
     return (c, s) if math.isfinite(c) and 0.0 < s < math.inf else (0.0, 1.0)
 

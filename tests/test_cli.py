@@ -52,6 +52,8 @@ class TestDistSpec:
             ("binomial:3,0.55", "binomial", (3.0, 0.55)),
             ("betabin:3,12,10", "betabin", (3.0, 12.0, 10.0)),
             ("dunif:4", "dunif", (4.0,)),
+            ("beta_binomial:3,12,10", "betabin", (3.0, 12.0, 10.0)),
+            ("discrete_uniform:4", "dunif", (4.0,)),
         ],
     )
     def test_parse(self, text, family, params):
@@ -245,6 +247,25 @@ class TestCurvesCommand:
         assert first == second
         assert "\r" not in first
 
+    @pytest.mark.parametrize(
+        "command,grid",
+        [
+            ("curves", "nan:1:0.1"),
+            ("curves", "0:1:nan"),
+            ("curves", "0:inf:1"),
+            ("curves", "0:1e18:1"),
+            ("curves", "0:1:inf"),
+            ("curves", "-inf:1:1"),
+            ("bounds", "0.5:nan:0.25"),
+        ],
+    )
+    def test_hostile_grid_is_a_parse_error(self, capsys, command, grid):
+        # A nan, an inf or more than 10^6 steps exits 2 before any grid
+        # is built.
+        code, out, err = run(capsys, command, "--pair", "power", f"--grid={grid}")
+        assert (code, out) == (2, "")
+        assert err == f"error: grid '{grid}' must be finite and take at most 10^6 steps\n"
+
 
 class TestBoundsCommand:
     def test_exponential_figure_data(self, capsys):
@@ -392,6 +413,26 @@ def _load_lines(source):
 
 
 class TestFitCommand:
+    @pytest.mark.parametrize(
+        "name,argv",
+        [
+            ("fit_weibull_mle", ["--data", "murthy41", "--candidates", "w2"]),
+            ("fit_lognormal_mle", ["--data", "murthy41", "--candidates", "lognormal"]),
+            ("fit_binomial_p", ["--data", "coin3", "--discrete", "--candidates", "binomial"]),
+        ],
+    )
+    def test_bare_name_calls_the_fitter_on_this_module(self, capsys, monkeypatch, name, argv):
+        # A wrapper set on cli's name, as a tracer sets one, sees the fit.
+        inner, calls = getattr(cli, name), []
+
+        def counted(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(cli, name, counted)
+        code, _, _ = run(capsys, "fit", *argv, "--json")
+        assert code == 0 and len(calls) == 1
+
     def test_reference_continuous_pipeline(self, capsys):
         code, out, _ = run(
             capsys, "fit", "--data", "murthy41", "--candidates", "w2", "--json"

@@ -87,6 +87,9 @@ class TestConstruction:
             ("weibull2", [1.0, 0.0]),
             ("weibull2", [-0.5, 1.0]),
             ("lognormal", [0.0, 0.0]),
+            ("binomial", [3, 0.5]),
+            ("dunif", [4]),
+            ("kde", [1.0]),
         ],
     )
     def test_invalid_parameters_rejected(self, family, params):
@@ -253,6 +256,12 @@ class TestPushForward:
                 lambda y: y,  # wrong inverse
                 lambda x: np.full(np.shape(x), 2.0),
             )
+
+    def test_infinite_image_of_an_endpoint(self):
+        # log maps (0, inf) onto the whole line; log(0) = -inf, without a
+        # warning.
+        d = push_forward(Exponential(1.0), np.log, np.exp, lambda y: 1.0 / y)
+        assert d.support == (-math.inf, math.inf)
 
     def test_curved_exact_derivative_accepted(self):
         # exp over the 0.79-wide steps of the check grid: a secant against
@@ -539,6 +548,16 @@ class TestFinitePMF:
         np.testing.assert_allclose(pmf.probs, 0.25)
         assert pmf.labels == (0, 1, 2, 3)
 
+    def test_printed_spellings(self):
+        # betabin and dunif build what beta_binomial and discrete_uniform do.
+        for short, long, params in [
+            ("betabin", "beta_binomial", [3, 12, 10]),
+            ("dunif", "discrete_uniform", [4]),
+        ]:
+            a, b = make_pmf(short, params), make_pmf(long, params)
+            assert (a.labels, a.family, a.params) == (b.labels, b.family, b.params)
+            assert np.array_equal(a.probs, b.probs)
+
     @pytest.mark.parametrize(
         "family,params",
         [
@@ -550,6 +569,11 @@ class TestFinitePMF:
             ("empirical", []),
             ("empirical", [0, 0, 0]),
             ("empirical", [-1, 2]),
+            ("exp", [1.0]),
+            ("kde", [1.0]),
+            ("binomial", [3]),
+            ("betabin", [3, 12]),
+            ("discrete_uniform", [4, 1]),
         ],
     )
     def test_invalid_pmf_parameters(self, family, params):

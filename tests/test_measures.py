@@ -943,6 +943,33 @@ class TestPushforwardInBaseVariable:
             _assert_within_estimate(new, info_moments(_InX(f), g))
             _assert_within_estimate(new, info_moments(Weibull2(3.2, 0.8), g))
 
+    @pytest.mark.parametrize(
+        "phi",
+        [
+            (np.log, np.exp, lambda y: 1.0 / y),
+            (lambda y: y**3, np.cbrt, lambda y: 3.0 * y * y),
+        ],
+        ids=["log", "cube"],
+    )
+    def test_common_bijection_keeps_k_and_var_k(self, phi):
+        # log phi' cancels in log(phi # f) - log(phi # g), so K and VarK
+        # of the pushed pair are the table's values for (f, g).
+        pairs = [
+            (Exponential(1.0), Exponential(2.0)),
+            (Weibull2(1.5, 0.8), Lognormal(0.1, 0.7)),
+            (Lognormal(0.1, 0.7), Weibull2(1.5, 0.8)),
+            (Weibull2(0.7, 1.3), Exponential(0.5)),
+        ]
+        ulp = np.finfo(float).eps
+        for f, g in pairs:
+            table = info_moments(f, g)
+            pushed = info_moments(push_forward(f, *phi), push_forward(g, *phi))
+            for name in ("K", "VarK"):
+                new, old = getattr(pushed, name), getattr(table, name)
+                assert (new.method, old.method) == ("quadrature", "closed_form")
+                allow = new.abs_error_estimate + 8.0 * ulp * max(1.0, abs(old.value))
+                assert abs(new.value - old.value) <= allow, (f, g, name, new, old)
+
     def test_non_finite_integrand_names_its_panel_in_x(self):
         # Half of Power(1e-3)'s mass lies below the smallest float; the
         # panel the base names, (0, hi), is (0, 2 hi) in x = 2y.
