@@ -6,7 +6,7 @@ I and VarI those of -b, K and VarK those of a - b, and
 cov = cov_f(a, b).  :func:`info_moments` computes all seven as one
 :class:`InfoMoments` record, and is the only place that integrates,
 sums or looks up a closed form.  It is also the only function that
-takes options: ``method`` and ``tol``.  The readers `entropy`,
+takes an option, ``method``.  The readers `entropy`,
 `varentropy`, `inaccuracy`, `varinaccuracy`, `kl`, `var_kl` and
 `log_log_cov` take none; each reads one field of the record on the
 default route (`entropy(f)` is the record of (f, f)), for a
@@ -66,9 +66,10 @@ Each field carries its evaluation route:
   those fields; cov = (VarH + VarI - VarK) / 2, so both identities
   hold to rounding.
   The first row is f's mass: a quadrature that did not see all of it,
-  within tol or the row's own estimate, raises
+  within the quadrature's DEFAULT_TOL plus 1e-12, raises
   QuadratureConvergenceError instead of returning moments of part of f.
-- ``summation``: a pair of FinitePMF values, summed in one pass.
+- ``summation``: a pair of FinitePMF values: the same rows, summed over
+  P's labels in one pass.
 - ``divergent``: f has mass where g vanishes, which is screened before
   integrating, so such a g adds no rows.  I, VarI, K, VarK and cov are
   +inf rather than an error, since a diverging measure is a legitimate
@@ -137,10 +138,10 @@ __all__ = [
 _NEG_CLAMP = 1e-9
 # Mass of f outside the common support that counts as none.  f's mass,
 # integrated as the first row, may miss 1 by at most this plus the
-# larger of tol and the row's own error estimate (so a loose tol cannot
-# trip the check, and a tight one sees a small missed bump); a larger
-# gap means the nodes missed part of f (a kde narrower than the panels),
-# which skews every moment alike.
+# quadrature's tolerance, which bounds the row's error once it has
+# converged; a larger gap means the nodes missed part of f (a kde
+# narrower than the panels, or a far bump), which skews every moment
+# alike.
 _MASS_TOL = 1e-12
 # The fields of a pair beyond f's own H and VarH that the closed forms
 # or the quadrature supply; cov is derived when no closed form gives it.
@@ -182,43 +183,31 @@ def _clamp(value: float) -> float:
     return value
 
 
-def _check_method(method: str):
-    if method not in ("auto", "quadrature"):
-        raise InvalidParameterError(f"method must be auto|quadrature, got {method!r}")
-
-
-def _common_support(f: Density, g: Density):
-    lo = max(f.support[0], g.support[0])
-    hi = min(f.support[1], g.support[1])
+def _diverges(f, g) -> bool:
+    """True when f has mass where g vanishes: a p > 0 whose q is 0, or
+    more than _MASS_TOL of f's mass outside the support common to f and
+    g.  Pmfs on different labels, or supports that do not meet, raise."""
+    if isinstance(f, FinitePMF):
+        if f.labels != g.labels:
+            raise SupportMismatchError(
+                f"pmf supports differ: {f.labels!r} vs {g.labels!r}"
+            )
+        return bool(np.any(g.probs[f.probs > 0.0] == 0.0))
+    lo, hi = max(f.support[0], g.support[0]), min(f.support[1], g.support[1])
     if not lo < hi:
         raise DisjointSupportError(
             f"supports {f.support} and {g.support} do not intersect"
         )
-    return lo, hi
-
-
-def _divergent(f: Density, lo: float, hi: float) -> bool:
-    """True when f carries non-negligible mass outside (lo, hi)."""
     if f.support == (lo, hi):
         return False  # cdf(lo) = 0 and cdf(hi) = 1 exactly
-    outside = float(f.cdf(lo)) + float(1.0 - f.cdf(hi))
-    return outside > _MASS_TOL
-
-
-def _check_pair(P: FinitePMF, Q: FinitePMF):
-    if P.labels != Q.labels:
-        raise SupportMismatchError(
-            f"pmf supports differ: {P.labels!r} vs {Q.labels!r}"
-        )
+    return float(f.cdf(lo)) + float(1.0 - f.cdf(hi)) > _MASS_TOL
 
 
 # ----------------------------------------------------------------------
 # The record
 # ----------------------------------------------------------------------
 
-def info_moments(
-    f, g, method: str = "auto", tol: float = quadrature.DEFAULT_TOL
-) -> InfoMoments | list[InfoMoments]:
+def info_moments(f, g, method: str = "auto") -> InfoMoments | list[InfoMoments]:
     """All measures of the pair (f, g) as one :class:`InfoMoments` record.
 
     f and g are both :class:`~varidx.distributions.Density` values or
@@ -231,7 +220,8 @@ def info_moments(
     where f has mass outside g's support gets f's own H and VarH and
     +inf for every other field.
     """
-    _check_method(method)
+    if method not in ("auto", "quadrature"):
+        raise InvalidParameterError(f"method must be auto|quadrature, got {method!r}")
     many = isinstance(g, (list, tuple))
     gs = list(g) if many else [g]
     kind = FinitePMF if isinstance(f, FinitePMF) else Density
@@ -241,13 +231,25 @@ def info_moments(
                 f"f and g must both be Density or both FinitePMF values, got {f!r} and {d!r}"
             )
     if kind is FinitePMF:
-        route, own = "summation", {}
-        plans, value, error = _summed(f, gs)
+        route, own, closed = "summation", {}, None
     else:
         route = "quadrature"
         own, closed = _closed_form(f) if method == "auto" else ({}, None)
-        plans, value, error = _integrated(f, gs, own, closed, tol)
-    if value is not None:
+    # A plan per g: None when f diverges from g, else g's closed-form
+    # fields and the index of its first row (None when it needs none).
+    plans, row_gs = [], []
+    for d in gs:
+        if _diverges(f, d):
+            plans.append(None)
+            continue
+        known = closed(d) if closed else {}
+        row = None
+        if not known.keys() >= _PAIR:
+            row = 3 + 4 * len(row_gs)
+            row_gs.append(d)
+        plans.append((known, row))
+    if len(own) < 2 or row_gs:
+        value, error = (_summed if kind is FinitePMF else _integrated)(f, row_gs)
         own = {**_from_moments(value[1:3], error[1:3], route), **own}
     records = []
     for plan in plans:
@@ -444,57 +446,43 @@ def _closed_form(f: Density):
     return own, fields
 
 
-def _integrated(f: Density, gs: list, own: dict, closed, tol: float):
-    """A plan per g and the integrals of all rows with their errors.
+def _rows(a, bs):
+    """The rows [1, a, a^2] and [b, b^2, c, c^2] for each b in bs,
+    c = a - b, stacked in that order."""
+    rows = [np.ones_like(a), a, a * a]
+    for b in bs:
+        c = a - b
+        rows += [b, b * b, c, c * c]
+    return np.array(rows)
 
-    A plan is None when f diverges from g, else g's closed-form fields
-    and the index of its first row (None when it needs no rows).  The
-    rows are p * [1, a, a^2], a = log f and p = f dx/dv the weight in
-    the variable v that :func:`_variable` gives, and p * [b, b^2, c,
-    c^2] for each g that still lacks a field, b = log g and c = a - b,
-    integrated by one quadrature on the support common to f and those
-    g.  ``own`` holds f's closed-form H and VarH; with both of them and
-    no rows to add, nothing is integrated (None, None).
+
+def _integrated(f: Density, gs: list):
+    """The integrals of f's rows and those of each g with their errors.
+
+    The rows are p * :func:`_rows` of a = log f and b = log g, p = f dx/dv
+    the weight in the variable v that :func:`_variable` gives, integrated
+    by one quadrature on the support common to f and the gs.
     """
-    lo, hi = f.support
-    plans = []
-    row_gs = []
-    for g in gs:
-        glo, ghi = _common_support(f, g)
-        if _divergent(f, glo, ghi):
-            plans.append(None)
-            continue
-        known = closed(g) if closed else {}
-        row = None
-        if not known.keys() >= _PAIR:
-            row = 3 + 4 * len(row_gs)
-            row_gs.append(g)
-            lo, hi = max(lo, glo), min(hi, ghi)
-        plans.append((known, row))
-    if len(own) == 2 and not row_gs:
-        return plans, None, None
+    lo = max(d.support[0] for d in [f, *gs])
+    hi = min(d.support[1] for d in [f, *gs])
     ends, x_of, weigh = _variable(f, lo, hi)
 
     def rows(v):
-        out = np.zeros((3 + 4 * len(row_gs), v.size))
-        # e^u may overflow, and so may a law on its way to a 0 density.
-        with np.errstate(over="ignore"):
+        out = np.zeros((3 + 4 * len(gs), v.size))
+        # e^u may overflow, and so may a law on its way to a 0 density;
+        # a nan (log|phi'| = inf at a tail node) ends in _NonFinite.
+        with np.errstate(over="ignore", invalid="ignore"):
             x, a, p = weigh(v)
             # A node whose x rounds onto an end of (lo, hi) lies outside
             # the open support and adds an exact 0, as one where p is 0.
             m = (p > 0.0) & (x > lo) & (x < hi)
             if np.any(m):
-                a, p, xm = a[m], p[m], x[m]
-                block = [np.ones_like(a), a, a * a]
-                for g in row_gs:
-                    b = a if g is f else g.log_pdf(xm)
-                    c = a - b
-                    block += [b, b * b, c, c * c]
-                out[:, m] = p * np.array(block)
+                a, xm = a[m], x[m]
+                out[:, m] = p[m] * _rows(a, [a if g is f else g.log_pdf(xm) for g in gs])
         return out
 
     try:
-        value, error, panels = quadrature._integrate_vector(rows, *ends, tol)
+        value, error, panels = quadrature._integrate_vector(rows, *ends, quadrature.DEFAULT_TOL)
     except quadrature._NonFinite as exc:
         # Name the panels in x, not in the quadrature's variable.
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -508,7 +496,7 @@ def _integrated(f: Density, gs: list, own: dict, closed, tol: float):
             subdivisions=exc.subdivisions,
         ) from None
     mass = float(value[0])
-    if not abs(mass - 1.0) <= max(tol, float(error[0])) + _MASS_TOL:
+    if not abs(mass - 1.0) <= quadrature.DEFAULT_TOL + _MASS_TOL:
         raise QuadratureConvergenceError(
             f"quadrature did not see all of f's mass: it integrated "
             f"{mass:.6g} on ({lo:g}, {hi:g}), {abs(mass - 1.0):.3g} away from 1",
@@ -516,7 +504,7 @@ def _integrated(f: Density, gs: list, own: dict, closed, tol: float):
             abs_error_estimate=error,
             subdivisions=panels,
         )
-    return plans, value, error
+    return value, error
 
 
 def _variable(d: Density, lo: float, hi: float):
@@ -585,26 +573,12 @@ def _bulk(d: Density):
 
 
 def _summed(P: FinitePMF, Qs: list):
-    """Plans, sums and (zero) errors as :func:`_integrated` returns them,
-    by direct summation over P's labels."""
-    for Q in Qs:
-        _check_pair(P, Q)
+    """The sums of P's rows and those of each Q, as :func:`_integrated`
+    returns integrals, with zero errors."""
     m = P.probs > 0.0
     w = P.probs[m]
-    a = np.log(w)
-    rows = [np.ones_like(a), a, a * a]
-    plans = []
-    for Q in Qs:
-        q = Q.probs[m]
-        if np.any(q == 0.0):
-            plans.append(None)
-            continue
-        plans.append(({}, len(rows)))
-        b = np.log(q)
-        c = a - b
-        rows += [b, b * b, c, c * c]
-    value = np.array([np.sum(w * z) for z in rows])
-    return plans, value, np.zeros(value.size)
+    value = np.sum(w * _rows(np.log(w), [np.log(Q.probs[m]) for Q in Qs]), axis=1)
+    return value, np.zeros(value.size)
 
 
 def _from_moments(value, error, route: str) -> dict:

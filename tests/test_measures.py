@@ -741,9 +741,52 @@ class TestInfoMoments:
         narrow = KernelDensity([1.0, 2.3, 4.1], 1e-6, (0.0, 5.0))
         with pytest.raises(QuadratureConvergenceError, match="mass: it integrated 0 on"):
             info_moments(narrow, Weibull2(1.6, 0.8))
-        # A loose tol leaves the mass within the row's own error estimate.
-        loose = info_moments(Power(0.3), Weibull2(0.5, 1.0), method="quadrature", tol=0.1)
-        assert abs(loose.H.value - entropy(Power(0.3)).value) <= 0.1
+
+    @pytest.mark.parametrize(
+        "f, gs, routes",
+        [
+            (
+                Weibull2(1.6, 0.8),
+                [
+                    Lognormal(0.0, 0.6),  # closed form
+                    Uniform(0.0, 1.0),  # divergent
+                    push_forward(Exponential(2.0), np.sqrt, np.square, lambda y: 0.5 / np.sqrt(y)),
+                    push_forward(
+                        Lognormal(0.2, 0.5), lambda y: 2.0 * y, lambda x: 0.5 * x, lambda y: np.full_like(y, 2.0)
+                    ),
+                ],
+                {"closed_form", "divergent", "quadrature"},
+            ),
+            (
+                make_pmf("empirical", [20, 63, 84, 33]),
+                [
+                    make_pmf("binomial", (3, 0.55)),
+                    FinitePMF((0, 1, 2, 3), np.array([0.0, 0.5, 0.3, 0.2])),  # divergent
+                ],
+                {"summation", "divergent"},
+            ),
+        ],
+        ids=["density", "pmf"],
+    )
+    def test_every_plan_in_one_list(self, monkeypatch, f, gs, routes):
+        # Each plan kind, and each law twice: a record of the list is the
+        # single-g call's, exactly but for quadrature fields, which agree
+        # within both estimates; all rows share one quadrature.
+        gs = gs + gs
+        singles = [info_moments(f, g) for g in gs]
+        panels = _panel_counts(monkeypatch)
+        records = info_moments(f, gs)
+        assert {rec.K.method for rec in singles} == routes
+        assert len(panels) == ("quadrature" in routes)
+        ulp = np.finfo(float).eps
+        for g, rec, single in zip(gs, records, singles, strict=True):
+            for name in FIELDS:
+                a, b = getattr(rec, name), getattr(single, name)
+                if b.method != "quadrature":
+                    assert a == b, (g, name, a, b)
+                    continue
+                allow = a.abs_error_estimate + b.abs_error_estimate + 8.0 * ulp * abs(b.value)
+                assert a.method == "quadrature" and abs(a.value - b.value) <= allow, (g, name, a, b)
 
     def test_convergence_error_names_its_interval_in_x(self, monkeypatch):
         # Integrated in u = log x on (-inf, inf); the error names x's
@@ -753,9 +796,9 @@ class TestInfoMoments:
             info_moments(Exponential(1.0), Weibull2(1.6, 0.8), method="quadrature")
 
     def test_small_missed_bump_is_an_error(self):
-        # The mass check's slack follows tol: a far bump of mass 5e-7,
-        # which the nodes miss, would skew H by about 1e-5 while its
-        # estimate reads 2e-11.
+        # The mass check's slack is the quadrature's tolerance plus
+        # 1e-12: a far bump of mass 5e-7, which the nodes miss, would
+        # skew H by about 1e-5 while its estimate reads 2e-11.
         with pytest.raises(QuadratureConvergenceError, match="5e-07 away from 1"):
             entropy(_FarBump(5e-7))
 
@@ -988,6 +1031,17 @@ class TestPushforwardInBaseVariable:
         assert panel(doubled(Power(1e-3)), doubled(Power(2.0))) == (lo, 2.0 * hi)
         assert lo == 0.0 and 0.0 < hi < 1e-200
 
+    def test_overflowing_log_derivative_is_a_non_finite_error(self):
+        # For phi = 1/y, phi' = -1/y^2 overflows at tail nodes of y, where
+        # a - b is -inf - -inf: a package error named in x, not a warning.
+        f = push_forward(Exponential(1.0), lambda y: 1.0 / y, lambda x: 1.0 / x, lambda y: -1.0 / y**2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(Error, match="non-finite value inside") as info:
+                entropy(f)
+        found = re.search(r"inside \((\S+), (\S+)\)", str(info.value))
+        assert 1.0 < float(found[1]) and float(found[2]) == math.inf, str(info.value)
+
 
 class TestTable:
     """The closed-form table against the quadrature and exact identities."""
@@ -1031,6 +1085,28 @@ class TestTable:
             assert close(_psi(float(n))[0], harmonic - euler, max(harmonic, euler))
             harmonic += 1.0 / n
         assert close(_psi(1.0)[1], math.pi**2 / 6.0)
+
+    @pytest.mark.parametrize("method", ["auto", "quadrature"])
+    def test_log_concave_varentropy_is_at_most_one(self, method):
+        # VarH <= 1 for a log-concave density, with equality for the
+        # exponential (Bobkov & Madiman, 2011; Fradelizi, Madiman & Wang,
+        # 2016): each record within its own estimate plus 8 ulp.
+        rng = np.random.default_rng(1)
+        laws = [Exponential(1.0), Weibull2(1.0, 3.0), Power(1.0), Uniform(0.0, 1.0)]
+        for _ in range(40):
+            rate = math.exp(rng.uniform(-8.0, 8.0))
+            lo = rng.uniform(-50.0, 50.0)
+            laws += [
+                Exponential(rate),
+                Weibull2(1.0 + rng.exponential(2.0), rate),
+                Weibull2(1.0 + 10.0 ** rng.uniform(-9.0, -1.0), rate),
+                Power(1.0 + rng.exponential(5.0)),
+                Uniform(lo, lo + math.exp(rng.uniform(-8.0, 8.0))),
+            ]
+        ulp = np.finfo(float).eps
+        for f in laws:
+            v = info_moments(f, f, method=method).VarH
+            assert v.value <= 1.0 + v.abs_error_estimate + 8.0 * ulp, (f, v)
 
     def test_overflowing_moments_are_an_error(self):
         # E[X^2] = Gamma(201) for this Weibull: past the largest float.
