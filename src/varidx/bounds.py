@@ -15,10 +15,16 @@ bound is 0 when both probabilities are, even where eps^2 overflows.
 A grid of margins is one call, ``chebyshev_bound(f, g, [eps1, eps2,
 ...])``: it checks every margin first, computes I once, inverts all
 2k levels together and evaluates f's cdf once on all the thresholds,
-and returns one result per margin.  The results equal a call per margin
-bit for bit when f's cdf is pointwise, which holds for every family but
-the kernel estimates: their cdf sums each threshold over the kernel
-windows of the whole batch, so there the two agree to rounding.
+and returns one result per margin.  A grid of gs is one call too, and
+one evaluation of f's cdf on the thresholds of every g and margin:
+``chebyshev_bound`` is the grid of one g, and the CLI's bound curves
+pass each grid whole, with the I of each g read off its record.  Each g
+is checked in turn as a call of its own would check it, so the first g
+that fails raises the error a loop of calls would.  The results equal a
+call per margin and per g bit for bit when f's cdf is pointwise, which
+holds for every family but the kernel estimates: their cdf sums each
+threshold over the kernel windows of the whole batch, so there the two
+agree to rounding.
 Two families admit piecewise closed forms (exponential pair, uniform
 against an increasing power density); both are cross-validated against
 the generic route in tests.
@@ -63,61 +69,73 @@ def chebyshev_bound(f: Density, g: Density, eps) -> BoundResult | list[BoundResu
     results in its order: every margin is checked first, I is computed
     once, all 2k levels are inverted in one call and f's cdf is
     evaluated once on the thresholds.  A single margin takes the same
-    route as a list of one.
+    route as a list of one, and g the same route as a grid of one.
     """
     many = isinstance(eps, (list, tuple))
-    results = _generic_bounds(f, g, eps if many else [eps])
+    (results,) = _generic_bounds(f, [g], eps if many else [eps])
     return results if many else results[0]
 
 
-def _generic_bounds(f: Density, g: Density, eps, i_value: float | None = None) -> list[BoundResult]:
+def _generic_bounds(f: Density, gs, eps, i_values=None) -> list[list[BoundResult]]:
     """The generic bounds of (f, g) at each margin of the sequence eps,
-    given I of (f, g) as ``i_value`` or, without it, computing I once
-    after the checks."""
+    one list per g of gs, from one evaluation of f's cdf.
+
+    The margins are checked first.  Then each g in turn is checked as a
+    call of its own would check it: a strictly monotone pdf, a finite I
+    of (f, g), read from ``i_values`` or else computed, and upper levels
+    that a pdf without bound can reach; the first g that fails raises.
+    """
     margins = np.array([finite_positive("eps", e) for e in eps])
-    if g.monotonicity not in ("increasing", "decreasing"):
-        raise NotMonotoneError(
-            f"the bound needs a strictly monotone pdf for g; "
-            f"family '{g.family}' is flagged '{g.monotonicity}'"
-        )
-    if i_value is None:
-        i_value = inaccuracy(f, g).value
-    if math.isinf(i_value):
-        raise InvalidParameterError(
-            "inaccuracy of (f, g) is infinite; the bound is undefined"
-        )
-    lo_r, hi_r = g.pdf_range()
-    log_lo = math.log(lo_r) if lo_r > 0.0 else -math.inf
-    log_hi = math.log(hi_r)
-    k = margins.size
-    # P(g(X) <= e^log_z) at the k lower levels, P(g(X) >= e^log_z) at
-    # the k upper ones.
-    log_z = np.concatenate([-margins - i_value, margins - i_value])
+    k, top = margins.size, max(margins.tolist(), default=-math.inf)
+    i_list, log_hi, log_lo = [], [], []
+    for j, g in enumerate(gs):
+        if g.monotonicity not in ("increasing", "decreasing"):
+            raise NotMonotoneError(
+                f"the bound needs a strictly monotone pdf for g; "
+                f"family '{g.family}' is flagged '{g.monotonicity}'"
+            )
+        i_value = inaccuracy(f, g).value if i_values is None else i_values[j]
+        if math.isinf(i_value):
+            raise InvalidParameterError(
+                "inaccuracy of (f, g) is infinite; the bound is undefined"
+            )
+        lo_r, hi_r = g.pdf_range()
+        if math.isinf(hi_r) and top - i_value > _LOG_FLOAT_MAX:
+            raise OutOfRangeError(
+                f"pdf level e^{top - i_value:g} overflows a float and g's pdf is unbounded"
+            )
+        i_list.append(i_value)
+        log_lo.append(math.log(lo_r) if lo_r > 0.0 else -math.inf)
+        log_hi.append(math.log(hi_r))
+    # Row j holds g_j's k lower log levels -eps - I, where the bound reads
+    # P(g(X) <= e^log_z), then its k upper ones eps - I, where it reads
+    # P(g(X) >= e^log_z).
+    i_col, lo_col, hi_col = (np.array(v)[:, None] for v in (i_list, log_lo, log_hi))
+    log_z = np.concatenate([-margins - i_col, margins - i_col], axis=1)
     le = np.arange(2 * k) < k
-    if math.isinf(hi_r) and np.any(log_z[k:] > _LOG_FLOAT_MAX):
-        raise OutOfRangeError(
-            f"pdf level e^{log_z[k:].max():g} overflows a float and g's pdf is unbounded"
-        )
     # A level above sup g gives P(g <= z) = 1 and P(g >= z) = 0, one at
-    # or below inf g the reverse; the rest read f's cdf at g's inverse.
-    prob = np.where(log_z > log_hi, le, ~le).astype(float)
-    inside = (log_z > log_lo) & (log_z <= log_hi)
-    if inside.any():
-        c = f.cdf(_inverse_log_pdf(g, log_z[inside]))
+    # or below inf g the reverse; the rest read f's cdf at g's inverse,
+    # all of them in one call.
+    prob = np.where(log_z > hi_col, le, ~le).astype(float)
+    inside = (log_z > lo_col) & (log_z <= hi_col)
+    rows = zip(gs, log_z, inside, inside.any(axis=1).tolist())
+    thresholds = [_inverse_log_pdf(g, z[m]) for g, z, m, any_inside in rows if any_inside]
+    if thresholds:
+        c = f.cdf(np.concatenate(thresholds))
         # For a decreasing g, X <= x is g(X) >= z.
-        decreasing = g.monotonicity == "decreasing"
-        prob[inside] = np.where(le[inside] == decreasing, 1.0 - c, c)
+        decreasing = np.array([g.monotonicity == "decreasing" for g in gs])[:, None]
+        prob[inside] = np.where((le == decreasing)[inside], 1.0 - c, c)
+    total = (prob[:, :k] + prob[:, k:]).tolist()
+    # Classify with a hair of slack so exact branch boundaries (where the
+    # upper threshold equals sup g) label the same way as the closed forms.
+    one_term = (log_z[:, k:] > hi_col + 1e-12).tolist()
+    eps_list = margins.tolist()
     return [
-        # Classify with a hair of slack so exact branch boundaries (where
-        # the upper threshold equals sup g) label the same way as the
-        # closed forms.
-        BoundResult(
-            e,
-            _scaled(e, float(prob[j]) + float(prob[k + j])),
-            "one_term" if log_z[k + j] > log_hi + 1e-12 else "two_term",
-            "generic",
-        )
-        for j, e in enumerate(margins.tolist())
+        [
+            BoundResult(e, _scaled(e, p), "one_term" if one else "two_term", "generic")
+            for e, p, one in zip(eps_list, probs, ones)
+        ]
+        for probs, ones in zip(total, one_term)
     ]
 
 

@@ -281,9 +281,10 @@ def cmd_curves(args) -> int:
         lams = _parse_float_list(args.lambdas, "lambda")
         header = ["eta"]
         columns = []
+        gs = [Exponential(eta) for eta in grid]
         for lam in lams:
             header += [f"I_lambda={lam:g}", f"VarI_lambda={lam:g}"]
-            records = info_moments(Exponential(lam), [Exponential(eta) for eta in grid])
+            records = info_moments(Exponential(lam), gs)
             columns += [[r.I.value for r in records], [r.VarI.value for r in records]]
         rows = [[float(eta), *row] for eta, *row in zip(grid, *columns)]
     else:
@@ -302,9 +303,8 @@ def _bound_grid(f, gs, eps_list):
     """VarI of (f, g) and its generic bounds at every margin, per g, from
     one record per g."""
     records = info_moments(f, gs)
-    return [
-        (r.VarI.value, _generic_bounds(f, g, eps_list, r.I.value)) for g, r in zip(gs, records)
-    ]
+    bounds = _generic_bounds(f, gs, eps_list, [r.I.value for r in records])
+    return [(r.VarI.value, b) for r, b in zip(records, bounds)]
 
 
 def cmd_bounds(args) -> int:

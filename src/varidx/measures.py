@@ -24,12 +24,17 @@ Each field carries its evaluation route:
   of these laws, and of any uniform, is linear in the statistics
   v^n e^{tv}, whose moments under f are derivatives of Gamma (through
   a stdlib digamma), tilted normal moments, or those of an exponential.
-  Each field is then the mean or variance of one linear form: H and
-  VarH of log f's, I and VarI of log g's, K and VarK of their
-  difference, and cov = (VarH + VarI - VarK) / 2, so both identities
-  hold to rounding and no parametric pair integrates anything.  Any
-  other uniform f has H and VarH alone; moments that overflow raise
-  OutOfRangeError.
+  Each mean field is one linear form c + w.e and each variance one
+  quadratic form w^T (M - e e^T) w of log f's weights (H, VarH), log
+  g's (I, VarI) or their difference's (K, VarK), with e and M the
+  first and second moments of the statistics; cov = (VarH + VarI -
+  VarK) / 2, so both identities hold to rounding and no parametric
+  pair integrates anything.  Each moment is evaluated once per call and
+  shared by all its gs, and every form goes through the same loop, so
+  a g in a list gets the fields of a call of its own.  Each field's
+  estimate is its rounding bound: a few ulp of the magnitude of its
+  terms.  Any other uniform f has H and VarH alone; moments that
+  overflow raise OutOfRangeError.
 - ``quadrature``: one adaptive quadrature per reference f, of the rows
   [1, a, a^2] and, for each g that still lacks a field,
   [b, b^2, a - b, (a - b)^2], on the support common to f and those g.
@@ -90,6 +95,7 @@ results within 1e-9 below zero are clamped to 0.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from statistics import NormalDist
 
@@ -146,6 +152,10 @@ _MASS_TOL = 1e-12
 # The fields of a pair beyond f's own H and VarH that the closed forms
 # or the quadrature supply; cov is derived when no closed form gives it.
 _PAIR = frozenset(("I", "VarI", "K", "VarK"))
+# The rounding of a closed-form field, in units of its terms' magnitude:
+# each moment and weight is a few operations from exact, and a field
+# sums a few dozen of their products.
+_ROUNDING = 8.0 * sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -174,6 +184,7 @@ class InfoMoments:
 
 
 _DIVERGENT = MeasureValue(math.inf, "divergent", 0.0)
+_FLAT_COV = MeasureValue(0.0, "closed_form", 0.0)
 
 
 def _clamp(value: float) -> float:
@@ -181,6 +192,15 @@ def _clamp(value: float) -> float:
     if -_NEG_CLAMP <= value < 0.0:
         return 0.0
     return value
+
+
+def _cov(vh: MeasureValue, vi: MeasureValue, vk: MeasureValue) -> MeasureValue:
+    """cov = (VarH + VarI - VarK) / 2, within half its parts' estimates."""
+    return MeasureValue(
+        0.5 * (vh.value + vi.value - vk.value),
+        vi.method,
+        0.5 * (vh.abs_error_estimate + vi.abs_error_estimate + vk.abs_error_estimate),
+    )
 
 
 def _diverges(f, g) -> bool:
@@ -193,6 +213,8 @@ def _diverges(f, g) -> bool:
                 f"pmf supports differ: {f.labels!r} vs {g.labels!r}"
             )
         return bool(np.any(g.probs[f.probs > 0.0] == 0.0))
+    if f.support == g.support:
+        return False
     lo, hi = max(f.support[0], g.support[0]), min(f.support[1], g.support[1])
     if not lo < hi:
         raise DisjointSupportError(
@@ -230,46 +252,41 @@ def info_moments(f, g, method: str = "auto") -> InfoMoments | list[InfoMoments]:
             raise InvalidParameterError(
                 f"f and g must both be Density or both FinitePMF values, got {f!r} and {d!r}"
             )
-    if kind is FinitePMF:
-        route, own, closed = "summation", {}, None
-    else:
-        route = "quadrature"
-        own, closed = _closed_form(f) if method == "auto" else ({}, None)
-    # A plan per g: None when f diverges from g, else g's closed-form
-    # fields and the index of its first row (None when it needs none).
-    plans, row_gs = [], []
+    route = "summation" if kind is FinitePMF else "quadrature"
+    own, closed = {}, None
+    if kind is Density and method == "auto":
+        own, closed = _closed_form(f)
+    # A record per g where the closed forms give all of it; for the rest,
+    # the place, the closed-form fields (None when f diverges from g) and
+    # the index of the first row (None when it needs none).  Each g is
+    # screened and then looked up in turn, so the first g that fails
+    # raises.
+    records, pending, row_gs = [], [], []
     for d in gs:
-        if _diverges(f, d):
-            plans.append(None)
+        known = None if _diverges(f, d) else closed(d) if closed else {}
+        if isinstance(known, InfoMoments):
+            records.append(known)
             continue
-        known = closed(d) if closed else {}
         row = None
-        if not known.keys() >= _PAIR:
+        if known is not None and not known.keys() >= _PAIR:
             row = 3 + 4 * len(row_gs)
             row_gs.append(d)
-        plans.append((known, row))
+        pending.append((len(records), known, row))
+        records.append(None)
     if len(own) < 2 or row_gs:
         value, error = (_summed if kind is FinitePMF else _integrated)(f, row_gs)
         own = {**_from_moments(value[1:3], error[1:3], route), **own}
-    records = []
-    for plan in plans:
-        if plan is None:
-            records.append(InfoMoments(own["H"], own["VarH"], *[_DIVERGENT] * 5))
+    for j, known, row in pending:
+        if known is None:
+            records[j] = InfoMoments(own["H"], own["VarH"], *[_DIVERGENT] * 5)
             continue
-        known, row = plan
-        fields = {}
+        fields = {**own, **known}
         if row is not None:
             rows = np.r_[1:3, row : row + 4]
-            fields = _from_moments(value[rows], error[rows], route)
-        fields = {**fields, **own, **known}
+            fields = {**_from_moments(value[rows], error[rows], route), **fields}
         if "cov" not in fields:
-            vh, vi, vk = fields["VarH"], fields["VarI"], fields["VarK"]
-            fields["cov"] = MeasureValue(
-                0.5 * (vh.value + vi.value - vk.value),
-                vi.method,
-                0.5 * (vh.abs_error_estimate + vi.abs_error_estimate + vk.abs_error_estimate),
-            )
-        records.append(InfoMoments(**fields))
+            fields["cov"] = _cov(fields["VarH"], fields["VarI"], fields["VarK"])
+        records[j] = InfoMoments(**fields)
     return records if many else records[0]
 
 
@@ -340,110 +357,157 @@ def _log_law(f: Density):
     """log X under f as alpha + beta v, for a standard variable v.
 
     Returns (alpha, beta, xpow, moment, median, iqr): x^s = e^{tv} / unit
-    with (t, unit) = xpow(s), moment(t, n) = E[v^n e^{tv}] for n <= 4 at
-    t = 0 and n <= 2 at t > 0, and v's median and interquartile range.
-    None when f has no table entry.
+    with (t, unit, log unit) = xpow(s), moment(t, n) = E[v^n e^{tv}] for
+    n <= 4 at t = 0 and n <= 2 at t > 0, and v's median and
+    interquartile range.  None when f has no table entry.
     """
     if isinstance(f, (Exponential, Weibull2)):
         # Y = rate X^k ~ Exp(1); the exponential is shape 1.
         k, lam = getattr(f, "shape", 1.0), f.rate
-        return -math.log(lam) / k, 1.0 / k, lambda s: (s / k, lam ** (s / k)), *_LOG_EXP
+        log_lam = math.log(lam)
+        return -log_lam / k, 1.0 / k, lambda s: (s / k, lam ** (s / k), s / k * log_lam), *_LOG_EXP
     if isinstance(f, Lognormal):
         mu, sigma = f.mu, f.sigma
-        return mu, sigma, lambda s: (s * sigma, math.exp(-s * mu)), *_NORMAL
+        return mu, sigma, lambda s: (s * sigma, math.exp(-s * mu), -s * mu), *_NORMAL
     if isinstance(f, Power):
         # X^a ~ Uniform(0, 1).
         a = f.alpha
-        return 0.0, 1.0 / a, lambda s: (s / a, 1.0), *_LOG_UNIFORM
+        return 0.0, 1.0 / a, lambda s: (s / a, 1.0, 0.0), *_LOG_UNIFORM
     if isinstance(f, Uniform) and f.support[0] == 0.0:
         c = f.support[1]
-        return math.log(c), 1.0, lambda s: (s, c**-s), *_LOG_UNIFORM
+        return math.log(c), 1.0, lambda s: (s, c**-s, -s * math.log(c)), *_LOG_UNIFORM
     return None
 
 
 def _coefficients(d: Density, law):
     """log d as (c, {(t, n): w}), i.e. c + sum of w v^n e^{tv} in the
-    variable v of ``law``; None when d has no such form.  A uniform d is
-    flat whatever the law."""
+    variable v of ``law``, with each coefficient as (value, magnitude);
+    None when d has no such form.  A uniform d is flat whatever the law.
+
+    A magnitude is the sum of the sizes of the coefficient's parts, so
+    that it bounds their rounding where they cancel; a weight divided
+    by a power e^y of f's rate or location counts 1 + |y| times, for the
+    rounding of y.
+    """
     if isinstance(d, Uniform):
-        return math.log(d._height), {}
+        c = math.log(d._height)
+        return (c, abs(c)), {}
     if law is None:
         return None
     alpha, beta, xpow = law[:3]
     if isinstance(d, (Exponential, Weibull2)):
         k = getattr(d, "shape", 1.0)
-        t, unit = xpow(k)
-        w = {(t, 0): -d.rate / unit}
+        t, unit, log_unit = xpow(k)
+        w = -d.rate / unit
+        terms = {(t, 0): (w, -w * (1.0 + abs(log_unit)))}
+        log_rate, log_k, tilt = math.log(d.rate), math.log(k), (k - 1.0) * alpha
         if k != 1.0:
-            w[0.0, 1] = (k - 1.0) * beta
-        return math.log(d.rate) + math.log(k) + (k - 1.0) * alpha, w
+            w = (k - 1.0) * beta
+            terms[0.0, 1] = (w, abs(w))
+        return (log_rate + log_k + tilt, abs(log_rate) + abs(log_k) + abs(tilt)), terms
     if isinstance(d, Power):
         a = d.alpha
-        return math.log(a) + (a - 1.0) * alpha, {(0.0, 1): (a - 1.0) * beta} if a != 1.0 else {}
+        log_a, tilt, w = math.log(a), (a - 1.0) * alpha, (a - 1.0) * beta
+        return (log_a + tilt, abs(log_a) + abs(tilt)), {(0.0, 1): (w, abs(w))} if a != 1.0 else {}
     if isinstance(d, Lognormal):
         e, b = (alpha - d.mu) / d.sigma, beta / d.sigma
-        c = -0.5 * e * e - alpha - math.log(d.sigma) - _LOG_SQRT_2PI
-        return c, {(0.0, 1): -e * b - beta, (0.0, 2): -0.5 * b * b}
+        log_sigma, eb = math.log(d.sigma), e * b
+        c = -0.5 * e * e - alpha - log_sigma - _LOG_SQRT_2PI
+        c_mag = 0.5 * e * e + abs(alpha) + abs(log_sigma) + _LOG_SQRT_2PI
+        w = 0.5 * b * b
+        return (c, c_mag), {(0.0, 1): (-eb - beta, abs(eb) + abs(beta)), (0.0, 2): (-w, w)}
     return None
 
 
+def _scale(x: float) -> float:
+    """|x| (1 + |log |x||): the size of a moment's rounding, in ulp, as
+    its argument (a ratio of shapes in Gamma, a normal tilt) is rounded,
+    so that its relative error grows with |log x|."""
+    a = abs(x)
+    return a * (1.0 + abs(math.log(a))) if a else 0.0
+
+
 def _closed_form(f: Density):
-    """f's closed-form H and VarH, and the function g -> closed-form
-    fields of (f, g) (see the module docstring); a flat g has cov = 0.
-    The moments of f's statistics are computed once per f."""
+    """f's closed-form H and VarH, and the function g -> the closed-form
+    record of (f, g) when f has a form, else the dict of g's closed-form
+    fields, empty where g has no form (see the module docstring); a flat
+    g has cov = 0.
+
+    Each field is the mean c + w.e or the variance w^T C w of one form,
+    with e and C = M - e e^T the moments of its statistics under f; f's
+    H is the form of f, and K's is f's form minus g's.  Each moment is
+    evaluated once per f and shared by every g of the call, and every
+    form goes through the same loop, so a g in a list gets the fields of
+    a call of its own.  Each estimate is _ROUNDING times the magnitude
+    of the field's terms, |c| + |w|.|e| or |w|^T (|M| + |e||e|^T) |w|,
+    with |c| and |w| as :func:`_coefficients` gives them (f's and g's
+    added for K) and |e| and |M| as :func:`_scale`.  A field that is not
+    finite has overflowed, and raises OutOfRangeError naming its law.
+    """
     law = _log_law(f)
     memo = {}
 
-    def moment(t, n):
-        value = memo.get((t, n))
-        if value is None:
-            value = memo[t, n] = law[3](t, n)
-        return value
+    def moment(key):
+        """E[s] for s = v^n e^{tv} at key = (t, n), beside its _scale."""
+        entry = memo.get(key)
+        if entry is None:
+            value = law[3](*key)
+            entry = memo[key] = (value, _scale(value))
+        return entry
 
-    def stats(c):
-        """Mean and variance of the form c under f."""
-        terms = [(w, t, n, moment(t, n)) for (t, n), w in c[1].items()]
-        mean, var = c[0], 0.0
-        for w, t, n, e in terms:
+    def stats(c, terms):
+        """The mean and the variance of the form c + w.s, each as (value,
+        magnitude), with C = M - e e^T taken term by term."""
+        rows = [(w, w_mag, t, n, *moment((t, n))) for (t, n), (w, w_mag) in terms.items()]
+        mean, mean_mag = c
+        var = var_mag = 0.0
+        for w, w_mag, t, n, e, e_mag in rows:
             mean += w * e
-            for x, u, m, y in terms:
-                var += w * x * (moment(t + u, n + m) - e * y)
-        return mean, _clamp(var)
+            mean_mag += w_mag * e_mag
+            for x, x_mag, u, m, y, y_mag in rows:
+                s, s_mag = moment((t + u, n + m))
+                var += w * x * (s - e * y)
+                var_mag += w_mag * x_mag * (s_mag + e_mag * y_mag)
+        return (mean, mean_mag), (_clamp(var), var_mag)
 
-    def fields(g=None):
-        """The closed-form fields of (f, g); f's own H and VarH without g.
-
-        Every field of a table pair is finite, so one that is not has
-        overflowed: OutOfRangeError rather than an inf or a nan.
-        """
+    def record(g=None):
+        """The closed-form fields of (f, g), or an InfoMoments record where
+        they complete one; f's own H and VarH without g.  Every field of a
+        table pair is finite, so one that is not has overflowed:
+        OutOfRangeError rather than an inf or a nan."""
+        k = k_mag = vk = vk_mag = 0.0
         try:
-            if g is None:
-                h, vh = stats(cf)
-                known = {"H": -h, "VarH": vh}
-            elif (cg := _coefficients(g, law)) is None:
-                known = {}
-            else:
-                i, vi = stats(cg)
-                known = {"I": -i, "VarI": vi}
-                if not cg[1]:
-                    known["cov"] = 0.0
-                if cf is not None:
-                    w = dict(cf[1])
-                    for b, x in cg[1].items():
-                        w[b] = w.get(b, 0.0) - x
-                    k, vk = stats((cf[0] - cg[0], w))
-                    known.update(K=_clamp(k), VarK=vk)
+            cg = cf if g is None else _coefficients(g, law)
+            if cg is None:
+                return {}
+            (i, i_mag), (vi, vi_mag) = stats(*cg)
+            if g is not None and cf is not None:
+                (c, c_mag), w = cf[0], dict(cf[1])
+                for key, (x, x_mag) in cg[1].items():
+                    a, a_mag = w.get(key, (0.0, 0.0))
+                    w[key] = (a - x, a_mag + x_mag)
+                (k, k_mag), (vk, vk_mag) = stats((c - cg[0][0], c_mag + cg[0][1]), w)
         except (OverflowError, ZeroDivisionError):
-            known = None
-        if known is None or not all(map(math.isfinite, known.values())):
+            i = vi = math.nan
+        if not all(map(math.isfinite, (i, vi, k, vk))):
             raise OutOfRangeError(
                 f"the moments of {f if g is None else g!r} under {f!r} overflow a float"
             )
-        return {name: MeasureValue(v, "closed_form", 0.0) for name, v in known.items()}
+        mean = MeasureValue(-i, "closed_form", _ROUNDING * i_mag)
+        var = MeasureValue(vi, "closed_form", _ROUNDING * vi_mag)
+        if g is None:
+            return {"H": mean, "VarH": var}
+        if cf is None:
+            return {"I": mean, "VarI": var, **({} if cg[1] else {"cov": _FLAT_COV})}
+        kk = MeasureValue(_clamp(k), "closed_form", _ROUNDING * k_mag)
+        vkk = MeasureValue(vk, "closed_form", _ROUNDING * vk_mag)
+        vh = own["VarH"]
+        cov = _cov(vh, var, vkk) if cg[1] else _FLAT_COV
+        return InfoMoments(own["H"], vh, mean, var, kk, vkk, cov)
 
     cf = _coefficients(f, law)
-    own = {} if cf is None else fields()
-    return own, fields
+    own = {} if cf is None else record()
+    return own, record
 
 
 def _rows(a, bs):

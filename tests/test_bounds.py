@@ -16,7 +16,7 @@ from varidx.distributions import (
     Weibull2,
 )
 from varidx.errors import InvalidParameterError, NotMonotoneError, OutOfRangeError
-from varidx.measures import varinaccuracy
+from varidx.measures import info_moments, varinaccuracy
 
 EPS_GRID = [0.5, 1.0, 1.5, 2.0]
 
@@ -252,3 +252,79 @@ class TestMarginList:
     def test_overflowing_level_of_unbounded_pdf_rejected_in_a_list(self):
         with pytest.raises(OutOfRangeError, match="unbounded"):
             chebyshev_bound(Uniform(0.0, 1.0), Power(0.5), [0.5, 800.0, 1.0])
+
+
+class TestBoundGrid:
+    """A grid of gs is one call and one evaluation of f's cdf."""
+
+    EPS = [0.5, 1.0, 1.5, 2.0]
+
+    @pytest.mark.parametrize(
+        "f,gs",
+        [
+            (Exponential(4.0), [Exponential(float(x)) for x in np.arange(0.5, 8.001, 0.25)]),
+            (Uniform(0.0, 1.0), [Power(float(x)) for x in np.arange(1.25, 5.001, 0.25)]),
+        ],
+        ids=["exp", "power"],
+    )
+    def test_figure_grids_match_one_call_per_point(self, cdf_calls, f, gs):
+        # BoundResult equality compares the float fields exactly.
+        one = [[chebyshev_bound(f, g, e) for e in self.EPS] for g in gs]
+        i_values = [r.I.value for r in info_moments(f, gs)]
+        before = len(cdf_calls)
+        assert bounds._generic_bounds(f, gs, self.EPS) == one
+        assert bounds._generic_bounds(f, gs, self.EPS, i_values) == one
+        assert len(cdf_calls) == before + 2
+
+    def test_kde_f_matches_one_call_per_point_to_rounding(self):
+        # A KDE's cdf sums each threshold over the kernel windows of the
+        # whole batch, so the grid agrees with one call per point only to
+        # rounding.
+        data = np.random.default_rng(5).exponential(1.0, 200)
+        f = LogKernelDensity(data, 0.3)
+        gs = [Exponential(x) for x in (0.25, 0.5, 1.0, 2.0, 4.0)]
+        grid = bounds._generic_bounds(f, gs, self.EPS)
+        for g, row in zip(gs, grid, strict=True):
+            for e, b in zip(self.EPS, row, strict=True):
+                one = chebyshev_bound(f, g, e)
+                assert b.branch == one.branch
+                assert b.bound_value == pytest.approx(one.bound_value, rel=1e-12, abs=1e-14)
+
+    @pytest.mark.parametrize(
+        "f,gs,eps,error",
+        [
+            # Lognormal first, then a uniform: both fail the monotone check.
+            (
+                Exponential(1.0),
+                [Exponential(2.0), Lognormal(0.0, 1.0), Uniform(0.0, 5.0)],
+                EPS,
+                NotMonotoneError,
+            ),
+            # Power(2) lives on (0, 1), so I is infinite under Uniform(0, 2).
+            (
+                Uniform(0.0, 2.0),
+                [Exponential(1.0), Power(2.0), Lognormal(0.0, 1.0)],
+                EPS,
+                InvalidParameterError,
+            ),
+            # Both unbounded powers overflow their upper level, each its own.
+            (
+                Uniform(0.0, 1.0),
+                [Power(2.0), Power(0.5), Power(0.25)],
+                [0.5, 800.0],
+                OutOfRangeError,
+            ),
+        ],
+        ids=["not-monotone", "infinite-I", "overflowing-level"],
+    )
+    def test_first_failing_g_raises_as_a_loop_would(self, f, gs, eps, error):
+        with pytest.raises(error) as loop:
+            for g in gs:
+                chebyshev_bound(f, g, eps)
+        with pytest.raises(error) as grid:
+            bounds._generic_bounds(f, gs, eps)
+        assert str(grid.value) == str(loop.value)
+        i_values = [r.I.value for r in info_moments(f, gs)]
+        with pytest.raises(error) as read:
+            bounds._generic_bounds(f, gs, eps, i_values)
+        assert str(read.value) == str(loop.value)

@@ -333,6 +333,14 @@ class TestBoundsCommand:
         code, _, _ = run(capsys, "bounds", "--pair", pair, "--grid", grid)
         assert code == 0 and len(calls) == 1
 
+    @pytest.mark.parametrize("pair", ["exp", "power"])
+    def test_one_cdf_call_per_grid(self, capsys, cdf_calls, pair):
+        # Every threshold of every g and margin goes through one call of
+        # f's cdf.
+        grid = "0.5:8:0.25" if pair == "exp" else "1.25:5:0.25"
+        code, _, _ = run(capsys, "bounds", "--pair", pair, "--grid", grid)
+        assert code == 0 and len(cdf_calls) == 1
+
     def test_tiny_eps_column_vanishes(self, capsys):
         code, out, _ = run(
             capsys, "bounds", "--pair", "exp", "--eps", "1e-6", "--grid", "1:2:0.5"

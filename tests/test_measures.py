@@ -97,7 +97,9 @@ def both_methods(field, f, g=None):
 class TestEntropy:
     def test_exponential_closed(self):
         m = entropy(Exponential(1.0))
-        assert m.method == "closed_form" and m.abs_error_estimate == 0.0
+        # The estimate is a rounding bound: a few ulp of H's one term.
+        assert m.method == "closed_form"
+        assert 0.0 <= m.abs_error_estimate <= 16.0 * np.finfo(float).eps
         assert m.value == 1.0
         assert abs(entropy(Exponential(2.0)).value - (1.0 - LOG2)) < 1e-15
 
@@ -413,9 +415,30 @@ class TestClosedFormCells:
     def test_cell_agreement(self, field, args):
         closed, quad = both_methods(field, *args)
         assert closed.method == "closed_form"
-        assert closed.abs_error_estimate == 0.0
+        # A rounding bound: a few ulp of the field's terms, whose scale a
+        # variance's exceeds by up to its weights' and mean's squares.
+        scale = max(1.0, abs(closed.value))
+        assert 0.0 <= closed.abs_error_estimate <= 1024.0 * np.finfo(float).eps * scale
         assert quad.method == "quadrature"
         assert abs(closed.value - quad.value) <= 1e-7
+
+
+    def test_near_equal_pair_within_its_rounding_bound(self):
+        # K ~ 1.3e-14 is the sum of terms of size 1, each rounded to a few
+        # 1e-16; the estimates must cover the error against the exact
+        # values, here at 40 digits with mpmath (a, l the Weibull2 shape
+        # and rate, e the exponential rate):
+        #   K = log(l*a/e) + (a-1)*(digamma(1) - log(l))/a - 1
+        #       + e*l**(-1/a)*gamma(1+1/a)
+        #   VarK = m2 - K**2, m2 = quad(d(y)**2 * exp(-y), [0, 1, inf]),
+        #   d(y) = log(l*a/e) + (a-1)*log(x) - l*x**a + e*x, x = (y/l)**(1/a)
+        rec = info_moments(
+            Weibull2(1.0000001192092896, 2.718281504439794), Exponential(2.718281180420735)
+        )
+        k_ref, var_k_ref = 1.295755965476012e-14, 2.591511483706026e-14
+        assert rec.K.method == rec.VarK.method == "closed_form"
+        assert abs(rec.K.value - k_ref) <= rec.K.abs_error_estimate
+        assert abs(rec.VarK.value - var_k_ref) <= rec.VarK.abs_error_estimate
 
 
 class TestMonteCarloAgreement:
@@ -787,6 +810,75 @@ class TestInfoMoments:
                     continue
                 allow = a.abs_error_estimate + b.abs_error_estimate + 8.0 * ulp * abs(b.value)
                 assert a.method == "quadrature" and abs(a.value - b.value) <= allow, (g, name, a, b)
+
+    # An exponential g, Weibull2 gs of three shapes, a lognormal, a power,
+    # a uniform and a g from which every table f diverges; under a
+    # half-line f the bounded laws diverge as well.
+    MIXED = [
+        Exponential(0.7),
+        Weibull2(0.6, 1.3),
+        Weibull2(1.4, 0.4),
+        Weibull2(2.5, 0.9),
+        Lognormal(0.3, 0.8),
+        Power(2.5),
+        Uniform(0.0, 2.0),
+        Uniform(0.5, 3.0),
+    ]
+
+    @pytest.mark.parametrize(
+        "f",
+        [Exponential(1.3), Weibull2(1.7, 0.6), Lognormal(-0.2, 0.5), Power(0.8), Uniform(0.0, 1.0)],
+        ids=repr,
+    )
+    def test_mixed_closed_form_list_equals_single_calls(self, f):
+        # The gs share f's moments, and forms of several bases go through
+        # one loop: every field, estimate included, is the single-g
+        # call's bit for bit.
+        gs = self.MIXED + self.MIXED
+        records = info_moments(f, gs)
+        routes = set()
+        for g, rec in zip(gs, records, strict=True):
+            single = info_moments(f, g)
+            for name in FIELDS:
+                a, b = getattr(rec, name), getattr(single, name)
+                routes.add(a.method)
+                assert a == b, (g, name, a, b)
+        assert routes == {"closed_form", "divergent"}
+
+    def test_overflow_in_a_list_names_its_law(self):
+        # E[Y^200] = Gamma(201) overflows for Weibull2(200, 1) under an
+        # exponential f: an error that names that law, and no numpy
+        # warning on the way.  A law that diverges is screened before its
+        # table is read, so one whose moments would overflow stays +inf.
+        f = Exponential(1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            named = re.escape("moments of Weibull2(200, 1) under")
+            with pytest.raises(OutOfRangeError, match=named):
+                info_moments(f, [Exponential(2.0), Weibull2(200.0, 1.0), Exponential(3.0)])
+            named = re.escape("moments of Power(1e+300) under")
+            with pytest.raises(OutOfRangeError, match=named):
+                info_moments(Uniform(0.0, 1.0), [Power(2.0), Power(1e300), Power(3.0)])
+            records = info_moments(f, [Exponential(2.0), Power(1e300), Weibull2(1.5, 1.0)])
+        assert [getattr(records[1], name).value for name in FIELDS[2:]] == [math.inf] * 5
+        assert records[1].I.method == "divergent"
+        assert records[0] == info_moments(f, Exponential(2.0))
+
+    @pytest.mark.parametrize(
+        "gs,error,named",
+        [
+            ([Weibull2(200.0, 1.0), Uniform(-2.0, -1.0)], OutOfRangeError, "Weibull2(200, 1)"),
+            ([Uniform(-2.0, -1.0), Weibull2(200.0, 1.0)], DisjointSupportError, "(-2.0, -1.0)"),
+        ],
+        ids=["overflow-first", "disjoint-first"],
+    )
+    def test_first_failing_g_raises(self, gs, error, named):
+        # Each g is screened and looked up in turn, as a loop of single
+        # calls would: the first g that fails raises its own error.
+        with pytest.raises(error, match=re.escape(named)):
+            info_moments(Exponential(1.0), gs)
+        with pytest.raises(error, match=re.escape(named)):
+            info_moments(Exponential(1.0), gs[0])
 
     def test_convergence_error_names_its_interval_in_x(self, monkeypatch):
         # Integrated in u = log x on (-inf, inf); the error names x's
