@@ -146,7 +146,6 @@ def _parse_float_list(text: str, what: str) -> list[float]:
     return out
 
 
-_BLOCK_BYTES = 1 << 14
 _COMMENT = re.compile(r"#[^\n]*")
 
 
@@ -154,41 +153,33 @@ def _load_values(source: str) -> list[float]:
     """Numbers from a bundled dataset or a text file.
 
     Files hold one value per line or comma/whitespace separated values;
-    ``#`` starts a comment.  The file is parsed in blocks of about
-    ``_BLOCK_BYTES`` of whole lines; a block with a malformed number is
-    read again line by line, so the error names the number's line.
+    ``#`` starts a comment.  The file is parsed in one pass; a file with
+    a malformed number is read again line by line, so the error names
+    the number's line.
     """
     if source in datasets.names():
         return [float(v) for v in datasets.load(source)]
-    values: list[float] = []
-    first = 1
-    with open(source, "r", encoding="utf-8") as fh:
-        try:
-            while lines := fh.readlines(_BLOCK_BYTES):
-                text = _COMMENT.sub("", "".join(lines)).replace(",", " ")
+    try:
+        with open(source, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        raise SpecParseError(f"{source}: not UTF-8 text") from None
+    try:
+        values = list(map(float, _COMMENT.sub("", text).replace(",", " ").split()))
+    except ValueError:
+        # Universal newlines end every line at "\n", as readlines does.
+        for lineno, line in enumerate(text.split("\n"), start=1):
+            for token in line.split("#", 1)[0].replace(",", " ").split():
                 try:
-                    values += map(float, text.split())
+                    float(token)
                 except ValueError:
-                    _raise_malformed(source, lines, first)
-                first += len(lines)
-        except UnicodeDecodeError:
-            raise SpecParseError(f"{source}: not UTF-8 text") from None
+                    raise SpecParseError(
+                        f"{source}:{lineno}: malformed number '{token}'"
+                    ) from None
+        raise
     if not values:
         raise SpecParseError(f"{source}: no numeric data found")
     return values
-
-
-def _raise_malformed(source: str, lines: list[str], first: int):
-    """SpecParseError naming the first malformed number among ``lines``,
-    the first of which is line ``first`` of ``source``."""
-    for lineno, line in enumerate(lines, start=first):
-        for token in line.split("#", 1)[0].replace(",", " ").split():
-            try:
-                float(token)
-            except ValueError:
-                raise SpecParseError(
-                    f"{source}:{lineno}: malformed number '{token}'"
-                ) from None
 
 
 def _fmt(value: float, precision: int) -> str:

@@ -258,8 +258,8 @@ def info_moments(f, g, method: str = "auto") -> InfoMoments | list[InfoMoments]:
         own, closed = _closed_form(f)
     # A record per g where the closed forms give all of it; for the rest,
     # the place, the closed-form fields (None when f diverges from g) and
-    # the index of the first row (None when it needs none).  Each g is
-    # screened and then looked up in turn, so the first g that fails
+    # the index of g's rows among row_gs (None when it needs none).  Each
+    # g is screened and then looked up in turn, so the first g that fails
     # raises.
     records, pending, row_gs = [], [], []
     for d in gs:
@@ -269,21 +269,21 @@ def info_moments(f, g, method: str = "auto") -> InfoMoments | list[InfoMoments]:
             continue
         row = None
         if known is not None and not known.keys() >= _PAIR:
-            row = 3 + 4 * len(row_gs)
+            row = len(row_gs)
             row_gs.append(d)
         pending.append((len(records), known, row))
         records.append(None)
     if len(own) < 2 or row_gs:
-        value, error = (_summed if kind is FinitePMF else _integrated)(f, row_gs)
-        own = {**_from_moments(value[1:3], error[1:3], route), **own}
+        rows = (_summed if kind is FinitePMF else _integrated)(f, row_gs)
+        own_rows, from_rows = _from_rows(*rows, route)
+        own = {**own_rows, **own}
     for j, known, row in pending:
         if known is None:
             records[j] = InfoMoments(own["H"], own["VarH"], *[_DIVERGENT] * 5)
             continue
         fields = {**own, **known}
         if row is not None:
-            rows = np.r_[1:3, row : row + 4]
-            fields = {**_from_moments(value[rows], error[rows], route), **fields}
+            fields = {**from_rows[row], **fields}
         if "cov" not in fields:
             fields["cov"] = _cov(fields["VarH"], fields["VarI"], fields["VarK"])
         records[j] = InfoMoments(**fields)
@@ -645,17 +645,24 @@ def _summed(P: FinitePMF, Qs: list):
     return value, np.zeros(value.size)
 
 
-def _from_moments(value, error, route: str) -> dict:
-    """Fields from E[a], E[a^2] and, if given, E[b], E[b^2], E[c], E[c^2]
-    with c = a - b."""
-    fields = {}
-    pairs = (("H", "VarH"), ("I", "VarI"), ("K", "VarK"))[: len(value) // 2]
-    for i, (mean, var) in enumerate(pairs):
-        m1, m2 = float(value[2 * i]), float(value[2 * i + 1])
-        e1, e2 = float(error[2 * i]), float(error[2 * i + 1])
-        fields[mean] = MeasureValue(_clamp(m1) if mean == "K" else -m1, route, e1)
-        fields[var] = MeasureValue(_clamp(m2 - m1 * m1), route, e2 + 2.0 * abs(m1) * e1)
-    return fields
+def _from_rows(value, error, route: str):
+    """f's H and VarH, and per g of :func:`_rows` in order its I, VarI, K
+    and VarK, from the rows' integrals or sums and their errors.  Rows i
+    and i + 1 hold E[x] and E[x^2] of x = a, b or a - b, whose mean is
+    -H, -I or K."""
+    value, error = value.tolist(), error.tolist()
+
+    def moments(i, mean, var):
+        m1, m2, e1 = value[i], value[i + 1], error[i]
+        return {
+            mean: MeasureValue(_clamp(m1) if mean == "K" else -m1, route, e1),
+            var: MeasureValue(_clamp(m2 - m1 * m1), route, error[i + 1] + 2.0 * abs(m1) * e1),
+        }
+
+    per_g = [
+        {**moments(i, "I", "VarI"), **moments(i + 2, "K", "VarK")} for i in range(3, len(value), 4)
+    ]
+    return moments(1, "H", "VarH"), per_g
 
 
 # ----------------------------------------------------------------------

@@ -8,7 +8,11 @@ r = 2 * min(K) so the pairwise rule becomes
 
     K_2 < (2 - sqrt(VarK_2 / VarK_1)) * K_1      (candidate 2 preferred)
 
-after relabeling so K_1 <= K_2.  Multi-candidate ranking canonicalizes
+after relabeling so K_1 <= K_2.  An exact match (VarK = 0) scores +inf.
+Scores compare exactly: equal ones go to the lower K, then the lower
+VarK, and an exact tie to the first candidate; the automatic rule reads
+its criterion's sign unless the pair has an exact match.  A nan K or
+VarK, or a VarK < 0, raises.  Multi-candidate ranking canonicalizes
 by ascending K and runs a sequential champion tournament, logging every
 pairwise decision; the rule itself is pairwise only.
 
@@ -43,9 +47,6 @@ __all__ = [
     "prefer_auto",
     "rank",
 ]
-
-_TIE_EPS = 1e-12
-
 
 @dataclass(frozen=True)
 class Candidate:
@@ -103,57 +104,49 @@ def evaluate_candidate(label: str, dist, f) -> Candidate:
     return _evaluate([(label, dist)], f)[0]
 
 
-def _exact_match_decision(c1: Candidate, c2: Candidate, r: float):
-    """Resolve pairs where a zero VarK marks an exact match with f."""
-    z1 = c1.VarK.value == 0.0
-    z2 = c2.VarK.value == 0.0
-    if z1 and z2:
-        if abs(c1.K.value - c2.K.value) < _TIE_EPS:
-            winner = c1
-        else:
-            winner = c1 if c1.K.value < c2.K.value else c2
-    else:
-        winner = c1 if z1 else c2
-    s1 = math.inf if z1 else _score(c1, r)
-    s2 = math.inf if z2 else _score(c2, r)
+def _score(c: Candidate, r: float) -> float:
+    """(r - K) / sqrt(VarK), and +inf for an exact match (VarK = 0)."""
+    v = c.VarK.value
+    return (r - c.K.value) / math.sqrt(v) if v else math.inf
+
+
+def _decide(c1: Candidate, c2: Candidate, r: float):
+    """(winner, decision) of the score rule at threshold r: the higher
+    score, then the lower K, then the lower VarK, and c1 on an exact tie."""
+    winner = min((c1, c2), key=lambda c: (-_score(c, r), c.K.value, c.VarK.value))
+    exact = c1.VarK.value == 0.0 or c2.VarK.value == 0.0
     decision = PairwiseDecision(
-        c1.label, c2.label, r, s1, s2, winner.label, None, exact_match=True
+        c1.label, c2.label, r, _score(c1, r), _score(c2, r), winner.label, None, exact
     )
     return winner, decision
 
 
-def _score(c: Candidate, r: float) -> float:
-    return (r - c.K.value) / math.sqrt(c.VarK.value)
+def _check(c: Candidate):
+    """InvalidParameterError unless c's K is a number and its VarK >= 0."""
+    if math.isnan(c.K.value) or not c.VarK.value >= 0.0:
+        raise InvalidParameterError(
+            f"candidate '{c.label}' needs a K that is a number and a VarK >= 0, "
+            f"got K = {c.K.value:g} and VarK = {c.VarK.value:g}"
+        )
 
 
 def prefer_with_threshold(c1: Candidate, c2: Candidate, r: float):
     """Pairwise rule with caller-chosen threshold r.
 
     Returns ``(winner, decision)``.  Candidates whose K reaches r are
-    unacceptable and raise; a candidate with VarK = 0 is an exact match
-    for the reference and trivially wins (flagged on the decision).
+    unacceptable and raise.  The higher score (r - K) / sqrt(VarK) wins;
+    a candidate with VarK = 0 is an exact match for the reference and
+    scores +inf (flagged on the decision).  Equal scores go to the lower
+    K, then to the lower VarK, and an exact tie to c1.
     """
     r = finite_positive("threshold r", r)
     for c in (c1, c2):
+        _check(c)
         if not c.K.value < r:
             raise ThresholdViolationError(
                 f"candidate '{c.label}' has K = {c.K.value:g} >= r = {r:g}"
             )
-    if c1.VarK.value == 0.0 or c2.VarK.value == 0.0:
-        return _exact_match_decision(c1, c2, r)
-    s1 = _score(c1, r)
-    s2 = _score(c2, r)
-    if abs(s1 - s2) < _TIE_EPS:
-        if abs(c1.K.value - c2.K.value) >= _TIE_EPS:
-            winner = c1 if c1.K.value < c2.K.value else c2
-        elif abs(c1.VarK.value - c2.VarK.value) >= _TIE_EPS:
-            winner = c1 if c1.VarK.value < c2.VarK.value else c2
-        else:
-            winner = c1
-    else:
-        winner = c1 if s1 > s2 else c2
-    decision = PairwiseDecision(c1.label, c2.label, r, s1, s2, winner.label)
-    return winner, decision
+    return _decide(c1, c2, r)
 
 
 def prefer_auto(c1: Candidate, c2: Candidate):
@@ -161,12 +154,15 @@ def prefer_auto(c1: Candidate, c2: Candidate):
 
     Returns ``(winner, decision)``; ``decision.criterion_value`` is the
     signed quantity K_b - (2 - sqrt(V_b / V_a)) * K_a after relabeling
-    so K_a <= K_b, negative when the higher-K candidate wins.  The
-    coefficient may go negative (V_b > 4 V_a): the inequality is then
-    unsatisfiable for positive K_b and the lower-K candidate wins, with
-    no special casing.
+    so K_a <= K_b, negative when the higher-K candidate wins, and a zero
+    goes to the lower-K candidate.  The coefficient may go negative
+    (V_b > 4 V_a): the inequality is then unsatisfiable for positive K_b
+    and the lower-K candidate wins, with no special casing.  A pair with
+    an exact match (a VarK of 0) has no criterion and is decided by the
+    scores at r, as :func:`prefer_with_threshold` orders them.
     """
     for c in (c1, c2):
+        _check(c)
         if math.isinf(c.K.value):
             raise InvalidParameterError(
                 f"candidate '{c.label}' has infinite divergence"
@@ -178,7 +174,7 @@ def prefer_auto(c1: Candidate, c2: Candidate):
     a, b = (c1, c2) if c1.K.value <= c2.K.value else (c2, c1)
     r = 2.0 * a.K.value
     if a.VarK.value == 0.0 or b.VarK.value == 0.0:
-        return _exact_match_decision(a, b, r)
+        return _decide(a, b, r)
     coeff = 2.0 - math.sqrt(b.VarK.value / a.VarK.value)
     crit = b.K.value - coeff * a.K.value
     winner = b if crit < 0.0 else a

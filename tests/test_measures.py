@@ -1135,6 +1135,84 @@ class TestPushforwardInBaseVariable:
         assert 1.0 < float(found[1]) and float(found[2]) == math.inf, str(info.value)
 
 
+def _kde_moments(f, c, keys):
+    """{(t, n): E[y^n e^{ty}]} for y = Y - c under the log-domain kde f,
+    the law of e^Y: Y is the Gaussian mixture at the data's logs with
+    width h, truncated to its support (L, U) and renormalised by the
+    kernels' mass there.
+
+    For a kernel at mu, e^{ty} phi_h(y - mu) is e^{t mu + t^2 h^2 / 2}
+    phi_h(y - m) with m = mu + t h^2, and y = m + h z, so each moment is
+    a sum of m^(n-j) h^j J_j over the partial moments J_j of z ~ N(0, 1)
+    on its ends (a, b): J_0 = Phi(b) - Phi(a), J_1 = phi(a) - phi(b) and
+    J_j = (j - 1) J_(j-2) + a^(j-1) phi(a) - b^(j-1) phi(b)."""
+    base = f.base
+    h, mu = base.bandwidth, base.points - c
+    lo, hi = base.support[0] - c, base.support[1] - c
+    erfc = np.vectorize(math.erfc, otypes=[float])
+
+    def kernels(t, n):
+        m = mu + t * h * h
+        a, b = (lo - m) / h, (hi - m) / h
+        pa, pb = (np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi) for z in (a, b))
+        # Phi(b) - Phi(a) from the tail in which both ends lie, so that
+        # it does not cancel.
+        r = math.sqrt(2.0)
+        j0 = np.where(a > 0.0, erfc(a / r) - erfc(b / r), erfc(-b / r) - erfc(-a / r))
+        J = [0.5 * j0, pa - pb]
+        for j in range(2, n + 1):
+            J.append((j - 1) * J[j - 2] + a ** (j - 1) * pa - b ** (j - 1) * pb)
+        raw = sum(math.comb(n, j) * m ** (n - j) * h**j * J[j] for j in range(n + 1))
+        return np.exp(t * mu + 0.5 * t * t * h * h) * raw
+
+    mass = kernels(0.0, 0).mean()
+    return {key: float(kernels(*key).mean() / mass) for key in keys}
+
+
+def _log_g_form(g, c):
+    """log g(e^{c + y}) as (c0, {(t, n): w}): c0 + the sum of w y^n e^{ty}."""
+    if isinstance(g, Exponential):
+        return math.log(g.rate), {(1.0, 0): -g.rate * math.exp(c)}
+    if isinstance(g, Weibull2):
+        k, lam = g.shape, g.rate
+        c0 = math.log(lam * k) + (k - 1.0) * c
+        return c0, {(0.0, 1): k - 1.0, (k, 0): -lam * math.exp(k * c)}
+    d, s2 = c - g.mu, g.sigma**2
+    c0 = -c - math.log(g.sigma) - _LOG_SQRT_2PI - d * d / (2.0 * s2)
+    return c0, {(0.0, 1): -1.0 - d / s2, (0.0, 2): -0.5 / s2}
+
+
+def _kde_oracle(f, g):
+    """Exact I and VarI of (f, g) for a log-domain kde f, from the mixture
+    moments of :func:`_kde_moments` about the mean of the data's logs."""
+    c = float(f.base.points.mean())
+    c0, w = _log_g_form(g, c)
+    pairs = [((t + u, n + m), x * y) for (t, n), x in w.items() for (u, m), y in w.items()]
+    e = _kde_moments(f, c, [*w, *(key for key, _ in pairs)])
+    mean = c0 + sum(x * e[key] for key, x in w.items())
+    second = sum(xy * e[key] for key, xy in pairs) - (mean - c0) ** 2
+    return -mean, second
+
+
+class TestKernelOracle:
+    """I and VarI of a log-domain kde against exact mixture moments."""
+
+    def _check(self, f, gs):
+        for g, record in zip(gs, info_moments(f, gs), strict=True):
+            for field, exact in zip((record.I, record.VarI), _kde_oracle(f, g)):
+                assert field.method == "quadrature"
+                assert abs(field.value - exact) <= field.abs_error_estimate, (g, field, exact)
+
+    @pytest.mark.parametrize("bandwidth", [0.003, 0.01, 0.03, 0.1, None, 1.0])
+    def test_murthy41(self, bandwidth):
+        values = datasets.load("murthy41")
+        self._check(kde(SampleData(values), bandwidth), _fitted(values) + [Exponential(0.08)])
+
+    def test_large_sample(self):
+        values = _stratified_weibull(10_000, 1)
+        self._check(kde(SampleData(values)), _fitted(values) + [Exponential(0.08)])
+
+
 class TestTable:
     """The closed-form table against the quadrature and exact identities."""
 

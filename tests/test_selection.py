@@ -76,6 +76,36 @@ class TestPreferWithThreshold:
         with pytest.raises(InvalidParameterError):
             prefer_with_threshold(cand("a", 0.01, 0.1), cand("b", 0.01, 0.1), 0.0)
 
+    def test_near_tie_goes_to_the_lower_dispersion_in_either_order(self):
+        a, b = cand("a", 0.05, 0.2), cand("b", 0.05, 0.2 + 1e-13)
+        for pair in ((a, b), (b, a)):
+            w, d = prefer_with_threshold(*pair, 0.2)
+            assert w.label == "a" and not d.exact_match
+
+    def test_exact_matches_with_equal_divergence_tie_toward_first(self):
+        for first, second in (("a", "b"), ("b", "a")):
+            w, d = prefer_with_threshold(
+                cand(first, 0.01, 0.0), cand(second, 0.01, 0.0), 0.2
+            )
+            assert w.label == first and d.score_first == d.score_second == math.inf
+
+
+@pytest.mark.parametrize(
+    "decide",
+    [lambda c1, c2: prefer_with_threshold(c1, c2, 0.2), prefer_auto],
+    ids=["threshold", "auto"],
+)
+@pytest.mark.parametrize(
+    "k, v",
+    [(math.nan, 0.1), (0.01, math.nan), (0.01, -1e-3)],
+    ids=["nan-K", "nan-VarK", "negative-VarK"],
+)
+def test_hostile_candidate_rejected(decide, k, v):
+    good = cand("b", 0.02, 0.1)
+    for pair in ((cand("a", k, v), good), (good, cand("a", k, v))):
+        with pytest.raises(InvalidParameterError, match="candidate 'a'"):
+            decide(*pair)
+
 
 class TestPreferAuto:
     def test_crab_summary_numbers(self):
