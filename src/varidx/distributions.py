@@ -785,7 +785,8 @@ def inverse_pdf(d: Density, z) -> float:
     """Solve pdf(x) = z for densities with strictly monotone pdf.
 
     Exponential and power families use their closed-form inverses; any
-    other monotone density falls back to bisection on the log-pdf.
+    other monotone density bisects over the doubles of its support and
+    returns the last one on the pdf's high side of z.
     """
     if d.monotonicity not in ("increasing", "decreasing"):
         raise NotInvertibleError(
@@ -807,41 +808,35 @@ def inverse_pdf(d: Density, z) -> float:
 def _inverse_log_pdf(d: Density, log_z):
     """Solve log pdf(x) = log_z for a strictly monotone pdf whose range
     holds e^log_z, also where that level underflows a float.  log_z may
-    be an array of levels; bisection solves them one at a time."""
+    be an array of levels.
+
+    Without a closed form, all levels are bisected at once over the
+    doubles inside the support, as int64 keys that order as the doubles
+    do, from the first double above its low end to its high end, which
+    is never evaluated.  64 halvings leave one double on each side of a
+    level, and each x is the last double on the pdf's high side of its
+    level: log pdf(x) >= log_z, and the next double beyond it is below.
+    """
     if isinstance(d, Exponential):
         return (math.log(d.rate) - log_z) / d.rate
     if isinstance(d, Power):
         return np.exp((log_z - math.log(d.alpha)) / (d.alpha - 1.0))
-    if np.ndim(log_z) == 0:
-        return _bisect_pdf_level(d, float(log_z))
-    return np.array([_bisect_pdf_level(d, z) for z in log_z.tolist()])
-
-
-def _bisect_pdf_level(d: Density, target: float) -> float:
-    # Bisect in t, strictly inside the start edges of the support's map.
-    x_of, _, edges = change_of_variables(*d.support)
-    t_lo = math.nextafter(edges[0], edges[-1])
-    t_hi = math.nextafter(edges[-1], edges[0])
+    lo, hi = d.support
+    a = _ordered(np.float64(math.nextafter(lo, hi)).view(np.int64))
+    b = _ordered(np.float64(hi).view(np.int64))
     decreasing = d.monotonicity == "decreasing"
+    for _ in range(64):
+        # floor((a + b) / 2), which never overflows an int64.
+        mid = (a >> 1) + (b >> 1) + (a & b & 1)
+        left = (d.log_pdf(_ordered(mid).view(np.float64)) >= log_z) == decreasing
+        a, b = np.where(left, mid, a), np.where(left, b, mid)
+    return _ordered(a if decreasing else b).view(np.float64)
 
-    def g(t):
-        return float(d.log_pdf(x_of(t))) - target
 
-    g_lo = g(t_lo)
-    # For a decreasing pdf, g goes from >=0 at the left to <0 at the right.
-    sign = 1.0 if decreasing else -1.0
-    if sign * g_lo < 0.0:
-        return float(x_of(t_lo))
-    a, b = t_lo, t_hi
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        if not a < mid < b:
-            break
-        if sign * g(mid) >= 0.0:
-            a = mid
-        else:
-            b = mid
-    return float(x_of(0.5 * (a + b)))
+def _ordered(i):
+    """The int64 bits of a double, mapped so that they order as the
+    doubles do; the map is its own inverse."""
+    return i ^ ((i >> 63) & 0x7FFFFFFFFFFFFFFF)
 
 
 def sample(d: Density, n: int, seed: int) -> SampleData:

@@ -149,9 +149,6 @@ _NEG_CLAMP = 1e-9
 # narrower than the panels, or a far bump), which skews every moment
 # alike.
 _MASS_TOL = 1e-12
-# The fields of a pair beyond f's own H and VarH that the closed forms
-# or the quadrature supply; cov is derived when no closed form gives it.
-_PAIR = frozenset(("I", "VarI", "K", "VarK"))
 # The rounding of a closed-form field, in units of its terms' magnitude:
 # each moment and weight is a few operations from exact, and a field
 # sums a few dozen of their products.
@@ -256,37 +253,27 @@ def info_moments(f, g, method: str = "auto") -> InfoMoments | list[InfoMoments]:
     own, closed = {}, None
     if kind is Density and method == "auto":
         own, closed = _closed_form(f)
-    # A record per g where the closed forms give all of it; for the rest,
-    # the place, the closed-form fields (None when f diverges from g) and
-    # the index of g's rows among row_gs (None when it needs none).  Each
-    # g is screened and then looked up in turn, so the first g that fails
-    # raises.
-    records, pending, row_gs = [], [], []
-    for d in gs:
-        known = None if _diverges(f, d) else closed(d) if closed else {}
-        if isinstance(known, InfoMoments):
-            records.append(known)
-            continue
-        row = None
-        if known is not None and not known.keys() >= _PAIR:
-            row = len(row_gs)
-            row_gs.append(d)
-        pending.append((len(records), known, row))
-        records.append(None)
-    if len(own) < 2 or row_gs:
+    # What is known of each g: None where f diverges from g, a whole
+    # closed-form record, or the dict of g's closed-form fields (empty
+    # where g has no form) that g's rows complete.  Each g is screened
+    # and then looked up in turn, so the first g that fails raises.
+    known = [None if _diverges(f, d) else closed(d) if closed else {} for d in gs]
+    row_gs = [d for d, k in zip(gs, known) if isinstance(k, dict)]
+    per_g = []
+    if not own or row_gs:
         rows = (_summed if kind is FinitePMF else _integrated)(f, row_gs)
-        own_rows, from_rows = _from_rows(*rows, route)
+        own_rows, per_g = _from_rows(*rows, route)
         own = {**own_rows, **own}
-    for j, known, row in pending:
-        if known is None:
-            records[j] = InfoMoments(own["H"], own["VarH"], *[_DIVERGENT] * 5)
-            continue
-        fields = {**own, **known}
-        if row is not None:
-            fields = {**from_rows[row], **fields}
-        if "cov" not in fields:
-            fields["cov"] = _cov(fields["VarH"], fields["VarI"], fields["VarK"])
-        records[j] = InfoMoments(**fields)
+    per_g, records = iter(per_g), []
+    for k in known:
+        if k is None:
+            k = InfoMoments(own["H"], own["VarH"], *[_DIVERGENT] * 5)
+        elif isinstance(k, dict):
+            fields = {**next(per_g), **own, **k}
+            if "cov" not in fields:
+                fields["cov"] = _cov(fields["VarH"], fields["VarI"], fields["VarK"])
+            k = InfoMoments(**fields)
+        records.append(k)
     return records if many else records[0]
 
 
@@ -498,7 +485,7 @@ def _closed_form(f: Density):
         if g is None:
             return {"H": mean, "VarH": var}
         if cf is None:
-            return {"I": mean, "VarI": var, **({} if cg[1] else {"cov": _FLAT_COV})}
+            return {"I": mean, "VarI": var, "cov": _FLAT_COV}
         kk = MeasureValue(_clamp(k), "closed_form", _ROUNDING * k_mag)
         vkk = MeasureValue(vk, "closed_form", _ROUNDING * vk_mag)
         vh = own["VarH"]
@@ -532,7 +519,6 @@ def _integrated(f: Density, gs: list):
     ends, x_of, weigh = _variable(f, lo, hi)
 
     def rows(v):
-        out = np.zeros((3 + 4 * len(gs), v.size))
         # e^u may overflow, and so may a law on its way to a 0 density;
         # a nan (log|phi'| = inf at a tail node) ends in _NonFinite.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -540,9 +526,10 @@ def _integrated(f: Density, gs: list):
             # A node whose x rounds onto an end of (lo, hi) lies outside
             # the open support and adds an exact 0, as one where p is 0.
             m = (p > 0.0) & (x > lo) & (x < hi)
-            if np.any(m):
-                a, xm = a[m], x[m]
-                out[:, m] = p[m] * _rows(a, [a if g is f else g.log_pdf(xm) for g in gs])
+            a, xm = a[m], x[m]
+            inside = p[m] * _rows(a, [a if g is f else g.log_pdf(xm) for g in gs])
+        out = np.zeros((len(inside), v.size))
+        out[:, m] = inside
         return out
 
     try:

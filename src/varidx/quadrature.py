@@ -40,8 +40,8 @@ Every interval goes through one change of variables,
 interval stays as it is, and an infinite end is mapped onto
 ``t in (0, 1)`` by QUADPACK's QAGI substitution.  The whole line is one
 map whose two start intervals meet at x = 0, refined under one tolerance
-and one convergence test.  The density probe grid and the pdf-level
-bisection in :mod:`varidx.distributions` use the same map.
+and one convergence test.  The density probe grid in
+:mod:`varidx.distributions` uses the same map.
 
 :mod:`varidx.measures` drives the vector loop with its own rows: the
 package's measures integrate nothing else.  :func:`expectations` runs

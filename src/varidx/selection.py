@@ -11,10 +11,12 @@ r = 2 * min(K) so the pairwise rule becomes
 after relabeling so K_1 <= K_2.  An exact match (VarK = 0) scores +inf.
 Scores compare exactly: equal ones go to the lower K, then the lower
 VarK, and an exact tie to the first candidate; the automatic rule reads
-its criterion's sign unless the pair has an exact match.  A nan K or
-VarK, or a VarK < 0, raises.  Multi-candidate ranking canonicalizes
-by ascending K and runs a sequential champion tournament, logging every
-pairwise decision; the rule itself is pairwise only.
+its criterion's sign unless the pair has an exact match.  A nan or
+negative K raises, and so does an infinite K, which no threshold
+accepts; so does a nan, negative or infinite VarK.  Multi-candidate
+ranking canonicalizes by ascending K and runs a sequential champion
+tournament, logging every pairwise decision; the rule itself is
+pairwise only.
 
 All candidates of one `rank` are evaluated by a single
 :func:`~varidx.measures.info_moments` call, so they share one
@@ -122,10 +124,10 @@ def _decide(c1: Candidate, c2: Candidate, r: float):
 
 
 def _check(c: Candidate):
-    """InvalidParameterError unless c's K is a number and its VarK >= 0."""
-    if math.isnan(c.K.value) or not c.VarK.value >= 0.0:
+    """InvalidParameterError unless c's K >= 0 and 0 <= VarK < inf."""
+    if not (c.K.value >= 0.0 and 0.0 <= c.VarK.value < math.inf):
         raise InvalidParameterError(
-            f"candidate '{c.label}' needs a K that is a number and a VarK >= 0, "
+            f"candidate '{c.label}' needs a K >= 0 and a finite VarK >= 0, "
             f"got K = {c.K.value:g} and VarK = {c.VarK.value:g}"
         )
 
@@ -166,10 +168,6 @@ def prefer_auto(c1: Candidate, c2: Candidate):
         if math.isinf(c.K.value):
             raise InvalidParameterError(
                 f"candidate '{c.label}' has infinite divergence"
-            )
-        if math.isinf(c.VarK.value):
-            raise InvalidParameterError(
-                f"candidate '{c.label}' has infinite dispersion"
             )
     a, b = (c1, c2) if c1.K.value <= c2.K.value else (c2, c1)
     r = 2.0 * a.K.value

@@ -192,6 +192,26 @@ class TestInversePdf:
             x = inverse_pdf(d, z)
             assert abs(d.pdf(x) - z) <= 1e-10 * z
 
+    def test_bisection_lands_on_the_last_double_above_each_level(self):
+        # For a decreasing pdf: log g(x) >= level > log g(next double),
+        # also where x is far beyond 1e15.
+        d = Weibull2(0.5, 1.0)
+        levels = [-10.0, -100.0, -1e3, -1e5, -1e8, -3e8, -1e9]
+        xs = distributions._inverse_log_pdf(d, np.array(levels)).tolist()
+        for level, x in zip(levels, xs, strict=True):
+            assert d.log_pdf(x) >= level > d.log_pdf(math.nextafter(x, math.inf)), level
+            assert distributions._inverse_log_pdf(d, level) == x
+        d, level = Weibull2(0.2, 1.0), math.log(1e-300)
+        x = inverse_pdf(d, 1e-300)
+        assert d.log_pdf(x) >= level > d.log_pdf(math.nextafter(x, math.inf))
+        # An increasing pdf without a closed form, 3 x^2 on (0, 1): the
+        # mirror image, the first double at or above each level.
+        rising = Density((), (0.0, 1.0), "increasing")
+        rising._log_pdf = lambda x: math.log(3.0) + 2.0 * np.log(x)
+        levels = np.log([1e-300, 1e-5, 1.0, 2.9])
+        for level, x in zip(levels, distributions._inverse_log_pdf(rising, levels), strict=True):
+            assert rising.log_pdf(x) >= level > rising.log_pdf(math.nextafter(x, 0.0)), level
+
     @pytest.mark.parametrize("d", NONPARAMETRIC, ids=lambda d: repr(d))
     def test_pdf_range_without_closed_form_rejected(self, d):
         with pytest.raises(NotMonotoneError, match=d.family):

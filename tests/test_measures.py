@@ -186,12 +186,32 @@ class TestVarinaccuracy:
         assert abs(q.value - 1.0) <= 1e-7
 
     @pytest.mark.parametrize(
-        "f", [Power(2.0), Power(0.5), Uniform(0.0, 1.0)], ids=lambda d: repr(d)
+        "f, g",
+        [
+            pytest.param(f, Uniform(0.0, 1.0), id=repr(f))
+            for f in (Power(2.0), Power(0.5), Uniform(0.0, 1.0))
+        ]
+        + [
+            # Laws without a table entry: I, VarI and cov are still exact.
+            pytest.param(
+                kde(SampleData(datasets.load("murthy41"))), Uniform(0.0, 1000.0), id="log-kde"
+            ),
+            pytest.param(
+                push_forward(Weibull2(1.6, 0.8), np.sqrt, np.square, lambda x: 0.5 / np.sqrt(x)),
+                Uniform(0.0, 50.0),
+                id="pushforward",
+            ),
+            pytest.param(
+                KernelDensity([-1, 0, 2, 2.5], 0.5, (-3, 4.5)), Uniform(-5.0, 5.0), id="kde"
+            ),
+        ],
     )
-    def test_vanishes_against_flat_density(self, f):
-        c, q = both_methods("VarI", f, Uniform(0.0, 1.0))
-        assert c.value == 0.0
+    def test_vanishes_against_flat_density(self, f, g):
+        c, q = both_methods("VarI", f, g)
+        assert c.value == 0.0 and c.method == "closed_form"
         assert q.value <= 1e-10
+        rec = info_moments(f, g)
+        assert rec.I.value == -float(g.log_pdf(0.5)) and rec.cov.value == 0.0
 
     def test_vanishes_against_wide_uniform(self):
         # Exponential mass beyond 50 is ~ e^-50, far below the divergence
@@ -573,23 +593,15 @@ half_line = st.builds(_exp_w2_lognormal, st.sampled_from(["exp", "w2", "lognorma
 
 
 class TestInfoMoments:
-    def test_one_quadrature_per_pair(self, monkeypatch):
-        calls = []
-        inner = quadrature._integrate_vector
-
-        def counted(*args):
-            calls.append(args)
-            return inner(*args)
-
-        monkeypatch.setattr(quadrature, "_integrate_vector", counted)
+    def test_one_quadrature_per_pair(self, quadratures):
         # A law with no table entry: every field from one quadrature.
         law = push_forward(Weibull2(1.6, 0.8), np.sqrt, np.square, lambda x: 0.5 / np.sqrt(x))
         rec = info_moments(law, Lognormal(0.0, 0.6))
-        assert isinstance(rec, InfoMoments) and len(calls) == 1
+        assert isinstance(rec, InfoMoments) and len(quadratures) == 1
         assert {getattr(rec, name).method for name in FIELDS} == {"quadrature"}
         # The table gives H and VarH; the rest comes from one quadrature.
         rec = info_moments(Exponential(1.0), law)
-        assert len(calls) == 2
+        assert len(quadratures) == 2
         assert rec.H.method == "closed_form" and rec.K.method == "quadrature"
         # Parametric pairs integrate nothing.
         for f, g in [
@@ -600,20 +612,11 @@ class TestInfoMoments:
         ]:
             rec = info_moments(f, g)
             assert {getattr(rec, name).method for name in FIELDS} == {"closed_form"}
-        assert len(calls) == 2
+        assert len(quadratures) == 2
 
-    def test_log_map_takes_few_panels_on_unit_interval(self, monkeypatch):
+    def test_log_map_takes_few_panels_on_unit_interval(self, quadratures):
         # In u = log x the x^(a-1) log x factors at 0 are exponential
         # tails: remark 3.3's and example 2.4's quadrature cross-checks.
-        panels = []
-        inner = quadrature._integrate_vector
-
-        def counted(*args):
-            value, error, n = inner(*args)
-            panels.append(n)
-            return value, error, n
-
-        monkeypatch.setattr(quadrature, "_integrate_vector", counted)
         f, g, h = Power(0.5), Power(3.0), Power(2.0)
         for a, b, expect in [(f, g, 25.0), (f, h, 9.0), (h, g, 0.25)]:
             vk = info_moments(a, b, method="quadrature").VarK.value
@@ -621,22 +624,14 @@ class TestInfoMoments:
         rec = info_moments(Uniform(0.0, 1.0), h, method="quadrature")
         assert abs(rec.I.value - (1.0 - LOG2)) <= 1e-12
         assert abs(rec.VarI.value - 1.0) <= 1e-12
+        panels = [q.panels for q in quadratures]
         assert len(panels) == 4 and max(panels) <= 16
 
-    def test_whole_line_in_u_is_one_refinement(self, monkeypatch):
+    def test_whole_line_in_u_is_one_refinement(self, quadratures):
         # On (0, inf) the nodes u = log x run over the whole line: two
         # start intervals that meet at f's median, refined under one
         # tolerance.  Lognormal(-4, 0.05) needs them: from one unsplit
         # panel the rule misses its mass.
-        panels = []
-        inner = quadrature._integrate_vector
-
-        def counted(*args):
-            value, error, n = inner(*args)
-            panels.append(n)
-            return value, error, n
-
-        monkeypatch.setattr(quadrature, "_integrate_vector", counted)
         pairs = [
             (Exponential(1.0), Exponential(2.0)),  # example 2.3
             (Lognormal(2.0, 0.02), Exponential(1.0)),
@@ -650,7 +645,7 @@ class TestInfoMoments:
             if f is pairs[1][0]:
                 # The table's value, which is mpmath's to the last digit.
                 assert table.K.value == 7.883618530164884
-        assert max(panels) <= 17
+        assert max(q.panels for q in quadratures) <= 17
 
     def test_heavy_lognormal_against_weibull_by_quadrature(self):
         f, g = Lognormal(0.0, 5.0), Weibull2(0.5, 1.0)
@@ -791,16 +786,16 @@ class TestInfoMoments:
         ],
         ids=["density", "pmf"],
     )
-    def test_every_plan_in_one_list(self, monkeypatch, f, gs, routes):
+    def test_every_plan_in_one_list(self, quadratures, f, gs, routes):
         # Each plan kind, and each law twice: a record of the list is the
         # single-g call's, exactly but for quadrature fields, which agree
         # within both estimates; all rows share one quadrature.
         gs = gs + gs
         singles = [info_moments(f, g) for g in gs]
-        panels = _panel_counts(monkeypatch)
+        before = len(quadratures)
         records = info_moments(f, gs)
         assert {rec.K.method for rec in singles} == routes
-        assert len(panels) == ("quadrature" in routes)
+        assert len(quadratures) - before == ("quadrature" in routes)
         ulp = np.finfo(float).eps
         for g, rec, single in zip(gs, records, singles, strict=True):
             for name in FIELDS:
@@ -962,20 +957,6 @@ class _InX(Density):
         return self.law.cdf(x)
 
 
-def _panel_counts(monkeypatch):
-    """The panel count of every quadrature from here on."""
-    panels = []
-    inner = quadrature._integrate_vector
-
-    def counted(*args):
-        value, error, n = inner(*args)
-        panels.append(n)
-        return value, error, n
-
-    monkeypatch.setattr(quadrature, "_integrate_vector", counted)
-    return panels
-
-
 def _fitted(values):
     data = SampleData(values)
     fits = [fit_weibull_mle(data), fit_lognormal_mle(data)]
@@ -1015,44 +996,32 @@ class TestPushforwardInBaseVariable:
         for new, old in zip(info_moments(f, gs), info_moments(_InX(f), gs)):
             _assert_within_estimate(new, old)
 
-    def test_murthy41_fit_takes_few_panels(self, monkeypatch):
+    def test_murthy41_fit_takes_few_panels(self, quadratures):
         values = datasets.load("murthy41")
         f, gs = kde(SampleData(values)), _fitted(values)[:2]
-        panels = _panel_counts(monkeypatch)
         info_moments(f, gs)
+        panels = [q.panels for q in quadratures]
         assert panels == [panels[0]] and panels[0] <= 9
 
-    def test_murthy41_fit_takes_one_call_per_round(self, monkeypatch):
+    def test_murthy41_fit_takes_one_call_per_round(self, quadratures):
         # Each refinement round evaluates all the panels it splits in
         # one call of the integrand, and the partition is the one the
         # panel-by-panel refinement reached, to within each K's estimate.
-        sizes, panels = [], []
-        inner = quadrature._integrate_vector
-
-        def counted(h, *args):
-            def h_counted(x):
-                sizes.append(x.size)
-                return h(x)
-
-            value, error, n = inner(h_counted, *args)
-            panels.append(n)
-            return value, error, n
-
-        monkeypatch.setattr(quadrature, "_integrate_vector", counted)
         values = datasets.load("murthy41")
         records = info_moments(kde(SampleData(values)), _fitted(values))
+        sizes = [n for q in quadratures for n in q.sizes]
+        panels = [q.panels for q in quadratures]
         assert len(sizes) <= 2 and sum(sizes) == 150 and panels == [9]
         previous = [0.09454025131376448, 0.03174002392666986, 0.09494375769801025]
         for rec, k in zip(records, previous, strict=True):
             assert abs(rec.K.value - k) <= rec.K.abs_error_estimate
 
-    def test_exp_of_uniform(self, monkeypatch):
+    def test_exp_of_uniform(self, quadratures):
         # X = e^U, U ~ Uniform(0, 80): H = log 80 + E[U] and VarH = Var U.
         f = push_forward(Uniform(0.0, 80.0), np.exp, np.log, np.exp)
         g = Lognormal(40.0, 23.0)
-        panels = _panel_counts(monkeypatch)
         new = info_moments(f, g)
-        assert panels[0] <= 9
+        assert quadratures[0].panels <= 9
         assert abs(new.H.value - (math.log(80.0) + 40.0)) <= new.H.abs_error_estimate
         assert abs(new.VarH.value - 6400.0 / 12.0) <= new.VarH.abs_error_estimate
         _assert_within_estimate(new, info_moments(_InX(f), g))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from varidx import datasets, quadrature
+from varidx import datasets
 from varidx.distributions import FinitePMF, Lognormal, SampleData, Uniform, Weibull2, make_pmf
 from varidx.estimation import fit_lognormal_mle, fit_weibull_mle, kde
 from varidx.errors import (
@@ -97,8 +97,15 @@ class TestPreferWithThreshold:
 )
 @pytest.mark.parametrize(
     "k, v",
-    [(math.nan, 0.1), (0.01, math.nan), (0.01, -1e-3)],
-    ids=["nan-K", "nan-VarK", "negative-VarK"],
+    [
+        (math.nan, 0.1),
+        (0.01, math.nan),
+        (0.01, -1e-3),
+        (-math.inf, 0.1),
+        (-0.5, 0.1),
+        (0.01, math.inf),
+    ],
+    ids=["nan-K", "nan-VarK", "negative-VarK", "minus-inf-K", "negative-K", "inf-VarK"],
 )
 def test_hostile_candidate_rejected(decide, k, v):
     good = cand("b", 0.02, 0.1)
@@ -266,23 +273,15 @@ class TestSharedQuadrature:
             ("u", Uniform(0.0, 50.0)),
         ]
 
-    def test_one_quadrature_for_all_candidates(self, monkeypatch):
-        calls = []
-        inner = quadrature._integrate_vector
-
-        def counted(*args):
-            calls.append(args)
-            return inner(*args)
-
-        monkeypatch.setattr(quadrature, "_integrate_vector", counted)
+    def test_one_quadrature_for_all_candidates(self, quadratures):
         report = rank(self.f, self.candidates)
-        assert len(calls) == 1
+        assert len(quadratures) == 1
         assert [(c.label, reason) for c, reason in report.disqualified] == [
             ("u", "infinite divergence")
         ]
         # A divergent candidate alone costs only f's own rows.
         evaluate_candidate("u", Uniform(0.0, 50.0), self.f)
-        assert len(calls) == 2 and calls[1][0](np.array([3.0])).shape == (3, 1)
+        assert len(quadratures) == 2 and quadratures[1].integrand(np.array([3.0])).shape == (3, 1)
 
     def test_shared_record_matches_each_pair(self):
         report = rank(self.f, self.candidates)
