@@ -111,11 +111,9 @@ def parse_dist_spec(text: str) -> DistSpec:
 
 
 def _parse_grid(text: str) -> np.ndarray:
-    """Parse ``start:stop:step`` (inclusive) or a single value."""
-    parts = text.split(":")
+    """Parse ``start:stop:step`` (inclusive), or a single value v as ``v:v:1``."""
+    parts = text.split(":") if ":" in text else [text, text, "1"]
     try:
-        if len(parts) == 1:
-            return np.array([float(parts[0])])
         if len(parts) != 3:
             raise ValueError
         start, stop, step = (float(p) for p in parts)

@@ -460,7 +460,8 @@ class Pushforward(Density):
 
     Pointwise calls pull x back through phi_inv; the information
     moments of :mod:`varidx.measures` are integrated in the base's own
-    variable instead, with no pull-back.
+    variable instead, with no pull-back.  The support is the image of
+    the base's, each end read exactly by :func:`_map_endpoint`.
     """
 
     family = "pushforward"
@@ -474,11 +475,11 @@ class Pushforward(Density):
         back = np.asarray(phi_inv(mapped), dtype=float)
         if not np.all(np.isfinite(mapped)):
             raise InvalidParameterError("phi produced non-finite values")
-        worst = float(np.max(np.abs(back - grid)))
+        worst = float(np.max(np.abs(back - grid) / np.maximum(1.0, np.abs(grid))))
         if not worst <= self._CHECK_TOL:
             raise InconsistentTransformError(
-                f"phi_inv(phi(x)) deviates from x by {worst:.3e} on the "
-                f"check grid (tolerance {self._CHECK_TOL:g})"
+                f"phi_inv(phi(x)) deviates from x by {worst:.3e} relative to "
+                f"max(1, |x|) on the check grid (tolerance {self._CHECK_TOL:g})"
             )
         steps = np.diff(mapped)
         if np.all(steps > 0.0):
@@ -505,8 +506,8 @@ class Pushforward(Density):
                 "phi_deriv disagrees with the increments of phi"
             )
 
-        a = _map_endpoint(phi, base.support[0], grid[0], mapped[0])
-        b = _map_endpoint(phi, base.support[1], grid[-1], mapped[-1])
+        a = _map_endpoint(phi, *base.support)
+        b = _map_endpoint(phi, *base.support[::-1])
         lo, hi = (a, b) if a < b else (b, a)
         super().__init__((), (lo, hi), "unknown")
         self.base = base
@@ -570,26 +571,24 @@ class LogKernelDensity(Pushforward):
         self.bandwidth = self.base.bandwidth
 
 
-def _map_endpoint(phi, endpoint, near_x, near_y):
-    """Image of a support endpoint under phi (inf endpoints included)."""
-    try:
-        # A numpy phi warns where its value is infinite, as log at 0.
-        with np.errstate(all="ignore"):
-            val = float(phi(endpoint))
-    except (OverflowError, ValueError, ZeroDivisionError):
-        val = math.nan
-    if not math.isnan(val):
-        return val
-    # phi chokes on the endpoint itself; probe a sequence approaching it.
-    if math.isinf(endpoint):
-        xs = near_x + math.copysign(1.0, endpoint) * np.geomspace(1.0, 1e12, 16)
-    else:
-        xs = endpoint + (near_x - endpoint) * np.geomspace(1e-12, 1.0, 16)
-    ys = np.asarray([float(phi(v)) for v in xs], dtype=float)
-    last, prev = ys[-1 if math.isinf(endpoint) else 0], near_y
-    if abs(last) > 1e12 and abs(last) > 2.0 * abs(prev):
-        return math.copysign(math.inf, last)
-    return float(last)
+def _map_endpoint(phi, endpoint, other):
+    """phi at the support end ``endpoint``, passed as a float64 so that a
+    pole such as 1/y at 0 gives inf; where that raises or is nan (inf/inf,
+    0*inf), phi at the last double inside, towards ``other`` (the largest
+    float for an infinite end); where both fail, an InvalidParameterError."""
+    for x in (endpoint, np.nextafter(endpoint, other)):
+        try:
+            # A numpy phi warns where its value is infinite, as log at 0.
+            with np.errstate(all="ignore"):
+                val = float(phi(np.float64(x)))
+        except (OverflowError, ValueError, ZeroDivisionError):
+            continue
+        if not math.isnan(val):
+            return val
+    raise InvalidParameterError(
+        f"phi has no value at the support end {float(endpoint)!r} "
+        "nor at the last double inside it"
+    )
 
 
 # ----------------------------------------------------------------------
@@ -704,8 +703,8 @@ def make_pmf(family: str, params) -> FinitePMF:
 class SampleData:
     """Ordered list of real observations with cached summary statistics.
 
-    ``variance`` uses the n-1 divisor and is 0.0 for a single
-    observation.
+    ``variance`` uses the n-1 divisor; it is 0.0 for a single observation
+    and inf where its squares overflow.
     """
 
     def __init__(self, values):
@@ -718,7 +717,8 @@ class SampleData:
         self.values = arr
         self.n = int(arr.size)
         self.mean = float(arr.mean())
-        self.variance = float(arr.var(ddof=1)) if self.n >= 2 else 0.0
+        with np.errstate(over="ignore"):
+            self.variance = float(arr.var(ddof=1)) if self.n >= 2 else 0.0
 
     def __len__(self):
         return self.n

@@ -62,7 +62,7 @@ def _positive_values(data: SampleData) -> np.ndarray:
 def fit_weibull_mle(data: SampleData) -> FitResult:
     """Fit the shape-rate Weibull by maximum likelihood."""
     x = _positive_values(data)
-    if data.variance == 0.0:
+    if x.min() == x.max():
         raise DegenerateDataError("observations are all equal; no Weibull fit")
     n = x.size
     logx = np.log(x)
@@ -222,9 +222,9 @@ def kde(data: SampleData, bandwidth: float | None = None):
     """
     if data.n < 2:
         raise InvalidParameterError("need at least two observations")
-    if data.variance == 0.0:
-        raise DegenerateDataError("zero variance; kde undefined")
     x = data.values
+    if x.min() == x.max():
+        raise DegenerateDataError("observations are all equal; kde undefined")
     if np.all(x > 0.0):
         if bandwidth is None:
             bandwidth = _robust_normal_reference(np.log(x))

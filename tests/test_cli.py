@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from varidx.bounds import chebyshev_bound
-from varidx import cli, measures
+from varidx import cli, datasets, measures
 from varidx.cli import DistSpec, _load_values, _parse_grid, main, parse_dist_spec
 from varidx.distributions import Exponential, Power, Uniform
 from varidx.errors import SpecParseError
@@ -257,6 +257,9 @@ class TestCurvesCommand:
             ("curves", "0:1:inf"),
             ("curves", "-inf:1:1"),
             ("bounds", "0.5:nan:0.25"),
+            ("curves", "nan"),
+            ("curves", "inf"),
+            ("bounds", "nan"),
         ],
     )
     def test_hostile_grid_is_a_parse_error(self, capsys, command, grid):
@@ -497,6 +500,22 @@ class TestFitCommand:
         assert abs(values["dunif:4.0"][0] - 0.1305) <= 5e-5
         order = payload["ranking"]
         assert order[1].startswith("betabin") and order[2].startswith("dunif")
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-170])
+    def test_rescaled_data_fits_as_the_original(self, capsys, tmp_path, scale):
+        # The x-scale variance overflows at 1e160 and underflows to 0 at
+        # 1e-170; the fits and the kde are scale-free, and so are K and VarK.
+        def fitted(data):
+            code, out, _ = run(
+                capsys, "fit", "--data", data, "--candidates", "w2", "lognormal", "--json"
+            )
+            assert code == 0
+            return [(c["K"], c["VarK"]) for c in json.loads(out)["candidates"]]
+
+        path = tmp_path / "scaled.txt"
+        path.write_text("\n".join(repr(v * scale) for v in datasets.load("murthy41")))
+        for new, old in zip(fitted(str(path)), fitted("murthy41"), strict=True):
+            np.testing.assert_allclose(new, old, rtol=1e-9)
 
     def test_data_file_loading(self, capsys, tmp_path):
         path = tmp_path / "values.txt"

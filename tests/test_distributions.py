@@ -283,6 +283,43 @@ class TestPushForward:
         d = push_forward(Exponential(1.0), np.log, np.exp, lambda y: 1.0 / y)
         assert d.support == (-math.inf, math.inf)
 
+    def test_end_where_phi_is_nan_is_exact(self):
+        # y / (y + 1) is inf / inf = nan at y = inf; the last double below
+        # it maps to 1.0.
+        d = push_forward(
+            Exponential(1.0), lambda y: y / (y + 1), lambda x: x / (1 - x), lambda y: 1 / (y + 1) ** 2
+        )
+        assert d.support == (0.0, 1.0)
+
+    def test_heavy_tailed_base_maps_onto_its_exact_image(self):
+        # P(Y > y) = y^-0.1: 6.3 % of the mass lies beyond y = 1e12.
+        pareto = push_forward(Exponential(0.1), np.exp, np.log, np.exp)
+        assert pareto.support == (1.0, math.inf)
+        d = push_forward(pareto, lambda y: y / (y + 1), lambda x: x / (1 - x), lambda y: 1 / (y + 1) ** 2)
+        assert d.support == (0.5, 1.0)
+
+    def test_pole_at_an_end_maps_to_inf(self):
+        d = push_forward(Exponential(1.0), lambda y: 1 / y, lambda x: 1 / x, lambda y: -1 / y**2)
+        assert d.support == (0.0, math.inf)
+
+    def test_end_without_an_image_rejected(self):
+        # nan at inf and at the largest float: the end has no image.
+        with pytest.raises(InvalidParameterError, match="support end inf"):
+            push_forward(
+                Exponential(1.0),
+                lambda y: np.where(y < 1e300, y, np.nan),
+                lambda x: x,
+                lambda y: np.ones(np.shape(y)),
+            )
+
+    @pytest.mark.parametrize("rate", [1e-9, 1e-12])
+    def test_round_trip_check_is_relative(self, rate):
+        # The check grid reaches a few times 1 / rate, where an exact
+        # inverse is off by an ulp of x: 4.8e-7 at rate 1e-9, far above
+        # an absolute 1e-8.
+        d = push_forward(Exponential(rate), np.sqrt, np.square, lambda y: 0.5 / np.sqrt(y))
+        assert d.support == (0.0, math.inf)
+
     def test_curved_exact_derivative_accepted(self):
         # exp over the 0.79-wide steps of the check grid: a secant against
         # the mean of the end slopes is off by about step^2 / 12 = 5 %.
@@ -526,6 +563,10 @@ class TestSampleData:
     def test_rejects_non_finite(self):
         with pytest.raises(InvalidParameterError):
             SampleData([1.0, math.nan])
+
+    def test_variance_overflows_to_inf_without_a_warning(self):
+        # pytest turns a RuntimeWarning into an error.
+        assert SampleData([1e200, 2e200]).variance == math.inf
 
 
 class TestFinitePMF:

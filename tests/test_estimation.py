@@ -72,6 +72,31 @@ class TestWeibullFit:
         with pytest.raises(DegenerateDataError):
             fit_weibull_mle(SampleData([3.3] * 10))
 
+    @pytest.mark.parametrize(
+        "values,root",
+        [
+            # A Newton step leaves the bracket, and bisection takes over.
+            ([1.0] * 6 + [5.0], 1.3624042598950803),
+            # Newton stalls on a step below 1e-15 a: the small-step exit.
+            # The squares of 1e270 overflow the x-scale variance.
+            ([1e7, 1e270, 1e-214], 0.0024401564194525835),
+        ],
+        ids=["bisection", "small-step"],
+    )
+    def test_safeguards_reach_the_profile_root(self, values, root):
+        fit = fit_weibull_mle(SampleData(values))
+        shape, rate = fit.params
+        assert fit.converged
+        logx = np.log(values)
+        s = shape * logx
+        w = np.exp(s - s.max())
+        h = float((w * logx).sum() / w.sum()) - 1.0 / shape - float(logx.mean())
+        assert abs(h) <= 1e-10
+        # rate = n / sum(x^shape), the sum taken in log space.
+        expected = len(values) * math.exp(-float(s.max())) / float(w.sum())
+        assert abs(rate - expected) <= 1e-12 * expected
+        assert abs(shape - root) <= 1e-12 * root
+
     def test_nonpositive_data_rejected(self):
         with pytest.raises(NonPositiveDataError):
             fit_weibull_mle(SampleData([1.0, -2.0, 3.0]))

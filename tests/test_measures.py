@@ -1074,6 +1074,20 @@ class TestPushforwardInBaseVariable:
                 allow = new.abs_error_estimate + 8.0 * ulp * max(1.0, abs(old.value))
                 assert abs(new.value - old.value) <= allow, (f, g, name, new, old)
 
+    def test_heavy_tailed_base_keeps_its_mass_inside_the_support(self):
+        # X = Y / (Y + 1) for the Pareto law P(Y > y) = y^-0.1 on (1, inf)
+        # has g = 0.1 x^-1.1 (1 - x)^-0.9 on (0.5, 1), so for
+        # f = Uniform(0.5, 1), K = 1.2 log 2 + log 10 - 2 and VarK is
+        # mpmath's 2 quad((a - K)^2, [0.5, 1]) at 40 digits, with
+        # a = log 20 + 1.1 log x + 0.9 log(1 - x).  1.2 log 2 + log 10 - 2
+        # is 1.1343617096659804 in floats.
+        pareto = push_forward(Exponential(0.1), np.exp, np.log, np.exp)
+        g = push_forward(pareto, lambda y: y / (y + 1), lambda x: x / (1 - x), lambda y: 1 / (y + 1) ** 2)
+        r = info_moments(Uniform(0.5, 1.0), g)
+        ulp = np.finfo(float).eps
+        assert abs(r.K.value - 1.1343617096659804) <= r.K.abs_error_estimate + 4.0 * ulp
+        assert abs(r.VarK.value - 0.531631221516503) <= r.VarK.abs_error_estimate
+
     def test_non_finite_integrand_names_its_panel_in_x(self):
         # Half of Power(1e-3)'s mass lies below the smallest float; the
         # panel the base names, (0, hi), is (0, 2 hi) in x = 2y.
