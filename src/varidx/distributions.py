@@ -482,11 +482,8 @@ class Pushforward(Density):
                 f"max(1, |x|) on the check grid (tolerance {self._CHECK_TOL:g})"
             )
         steps = np.diff(mapped)
-        if np.all(steps > 0.0):
-            increasing = True
-        elif np.all(steps < 0.0):
-            increasing = False
-        else:
+        increasing = bool(np.all(steps > 0.0))
+        if not (increasing or np.all(steps < 0.0)):
             raise InvalidParameterError("phi must be strictly monotone")
         deriv = np.asarray(phi_deriv(grid), dtype=float)
         if np.any(deriv == 0.0) or not np.all(np.isfinite(deriv)):
@@ -506,10 +503,9 @@ class Pushforward(Density):
                 "phi_deriv disagrees with the increments of phi"
             )
 
-        a = _map_endpoint(phi, *base.support)
-        b = _map_endpoint(phi, *base.support[::-1])
-        lo, hi = (a, b) if a < b else (b, a)
-        super().__init__((), (lo, hi), "unknown")
+        a = _map_endpoint(phi, *base.support, mapped[0], mapped[-1])
+        b = _map_endpoint(phi, *base.support[::-1], mapped[-1], mapped[0])
+        super().__init__((), tuple(sorted((a, b))), "unknown")
         self.base = base
         self.phi = phi
         self.phi_inv = phi_inv
@@ -571,22 +567,25 @@ class LogKernelDensity(Pushforward):
         self.bandwidth = self.base.bandwidth
 
 
-def _map_endpoint(phi, endpoint, other):
-    """phi at the support end ``endpoint``, passed as a float64 so that a
-    pole such as 1/y at 0 gives inf; where that raises or is nan (inf/inf,
-    0*inf), phi at the last double inside, towards ``other`` (the largest
+def _map_endpoint(phi, endpoint, other, edge, far):
+    """Image of the support end ``endpoint``: phi at the end itself, passed
+    as a float64 so that a pole such as 1/y at 0 gives inf; where that
+    raises, overflows in a step, is nan (inf/inf, 0*inf) or lies short of
+    ``edge`` (phi at the check grid's point nearest the end, ``far`` at the
+    farthest), phi at the last double inside, towards ``other`` (the largest
     float for an infinite end); where both fail, an InvalidParameterError."""
     for x in (endpoint, np.nextafter(endpoint, other)):
         try:
-            # A numpy phi warns where its value is infinite, as log at 0.
-            with np.errstate(all="ignore"):
+            # A numpy phi warns where its value is infinite, as log at 0;
+            # an overflow in a step (2 * y at the largest float) is no value.
+            with np.errstate(all="ignore", over="raise"):
                 val = float(phi(np.float64(x)))
-        except (OverflowError, ValueError, ZeroDivisionError):
+        except (ArithmeticError, ValueError):
             continue
-        if not math.isnan(val):
+        if (val >= edge) if edge > far else (val <= edge):
             return val
     raise InvalidParameterError(
-        f"phi has no value at the support end {float(endpoint)!r} "
+        f"phi has no usable value at the support end {float(endpoint)!r} "
         "nor at the last double inside it"
     )
 

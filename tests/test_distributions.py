@@ -302,15 +302,37 @@ class TestPushForward:
         d = push_forward(Exponential(1.0), lambda y: 1 / y, lambda x: 1 / x, lambda y: -1 / y**2)
         assert d.support == (0.0, math.inf)
 
-    def test_end_without_an_image_rejected(self):
-        # nan at inf and at the largest float: the end has no image.
+    @pytest.mark.parametrize(
+        "phi,phi_inv,phi_deriv",
+        [
+            # nan at inf and at the largest float.
+            (lambda y: np.where(y < 1e300, y, np.nan), lambda x: x, lambda y: np.ones(np.shape(y))),
+            # nan at inf (inf / inf); at the largest float 2 y overflows,
+            # and the end would read inf.
+            (lambda y: 2 * y / (y + 1), lambda x: x / (2 - x), lambda y: 2 / (y + 1) ** 2),
+            # As above, but y * y overflows, and the end would read 0.0.
+            (
+                lambda y: y / np.sqrt(y * y + 1),
+                lambda x: x / np.sqrt(1 - x * x),
+                lambda y: (y * y + 1) ** -1.5,
+            ),
+        ],
+        ids=["nan", "overflow-to-inf", "overflow-to-zero"],
+    )
+    def test_end_without_an_image_rejected(self, phi, phi_inv, phi_deriv):
         with pytest.raises(InvalidParameterError, match="support end inf"):
-            push_forward(
-                Exponential(1.0),
-                lambda y: np.where(y < 1e300, y, np.nan),
-                lambda x: x,
-                lambda y: np.ones(np.shape(y)),
-            )
+            push_forward(Exponential(1.0), phi, phi_inv, phi_deriv)
+
+    def test_end_short_of_the_check_grid_read_inside(self):
+        # A guard that reads 0.0 at inf lies short of phi on the check
+        # grid; the largest float maps to 1.0.
+        d = push_forward(
+            Exponential(1.0),
+            lambda y: np.where(np.isfinite(y), y / (y + 1), 0.0),
+            lambda x: x / (1 - x),
+            lambda y: 1 / (y + 1) ** 2,
+        )
+        assert d.support == (0.0, 1.0)
 
     @pytest.mark.parametrize("rate", [1e-9, 1e-12])
     def test_round_trip_check_is_relative(self, rate):
